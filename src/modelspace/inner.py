@@ -33,6 +33,7 @@ __all__ = [
     "evaluate",
     "phase",
     "phase_arrays",
+    "phase_difference",
     "derivative_sup_norm",
     "enlarge",
     "from_dict",
@@ -126,6 +127,25 @@ def phase_arrays(spec: InnerFunctionSpec, x):
         val = val - (2.0 * zero.mult) * np.arctan2(zero.im, w)
         der = der + (2.0 * zero.mult) * zero.im / (w * w + zero.im * zero.im)
     return val, der
+
+
+def phase_difference(spec: InnerFunctionSpec, x, y):
+    """phi(x) - phi(y) at real points, vectorised, without cancellation.
+
+    With t = x - y, the exponential factor gives c t and each zero u + i v
+    gives 2 m atan2(v t, (x - u)(y - u) + v^2), 2 m times the angle that the
+    segment from y to x subtends at u - i v.  Every term is proportional to
+    t, so the difference keeps full relative precision as y approaches x,
+    where subtracting two phase values would not.
+    """
+    xx = np.asarray(x, dtype=float)
+    yy = np.asarray(y, dtype=float)
+    t = xx - yy
+    out = spec.c * t
+    for zero in spec.zeros:
+        cross = (xx - zero.re) * (yy - zero.re) + zero.im * zero.im
+        out = out + (2.0 * zero.mult) * np.arctan2(zero.im * t, cross)
+    return out
 
 
 def phase(spec: InnerFunctionSpec, x: float) -> PhaseValue:

@@ -49,12 +49,16 @@ def sinc(t):
     Accepts scalars or ndarrays.  Below |t| < 1e-4 the cubic Taylor polynomial
     1 - t^2/6 + t^4/120 is exact to double precision and avoids 0/0.
     """
-    arr = np.asarray(t, dtype=float)
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
     small = np.abs(arr) < 1e-4
     safe = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 - arr * arr / 6.0 + arr**4 / 120.0, np.sin(safe) / safe)
+    out = np.sin(safe) / safe
+    if small.any():
+        tiny = arr[small]
+        s2 = tiny * tiny
+        out[small] = 1.0 - s2 / 6.0 + s2 * s2 / 120.0
     if np.ndim(t) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 

@@ -1,10 +1,17 @@
 """Slow independent oracles used only by the tests.
 
 Deliberately dumb implementations: composite Simpson with one Richardson
-step, dense grid scans, golden-section refinement, central differences.
-Nothing here may import the adaptive quadrature under test.
+step, dense grid scans, golden-section refinement, central differences, and
+the dense O(N*M) node x query sums of the four reconstruction routes.
+Nothing here may import the adaptive quadrature or the reconstruction code
+under test.
 """
+import math
+
 import numpy as np
+
+from modelspace.inner import enlarge, evaluate
+from modelspace.kernel import pw_oversample_kernel, sinc
 
 
 def simpson(f, a, b, n):
@@ -51,3 +58,60 @@ def golden_max(f, lo, hi, iters=120):
 
 def central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# Dense reconstruction sums: one full node x query matrix per call.  Queries
+# of any shape are flattened first, so the result has the shape of x.
+
+def _uniform_nodes(count, b):
+    half = (count - 1) // 2
+    return np.arange(-half, half + 1) * (math.pi / b)
+
+
+def _shaped(out, x):
+    if np.ndim(x) == 0:
+        return complex(out[0])
+    return out.reshape(np.shape(x))
+
+
+def dense_shannon(samples, b, x):
+    vals = np.asarray(samples, dtype=complex)
+    nodes = _uniform_nodes(vals.size, b)
+    xs = np.asarray(x, dtype=float).ravel()
+    return _shaped(vals @ sinc(b * (xs[None, :] - nodes[:, None])), x)
+
+
+def dense_pw_oversample(samples, kspec, x):
+    vals = np.asarray(samples, dtype=complex)
+    nodes = _uniform_nodes(vals.size, kspec.b)
+    xs = np.asarray(x, dtype=float).ravel()
+    return _shaped(vals @ pw_oversample_kernel(kspec, xs[None, :] - nodes[:, None]), x)
+
+
+def _dense_node_expansion(samples, spec, x, damping=None):
+    """sum_n f(x_n) [damping(x - x_n)] k_{x_n}(x) / w_n, diagonal filled by f(x_n)."""
+    grid = samples.grid
+    xs = np.asarray(x, dtype=float).ravel()
+    diff = xs[None, :] - grid.nodes[:, None]
+    on_node = np.abs(diff) <= 1e-12 * np.maximum(1.0, np.abs(grid.nodes))[:, None]
+    safe = np.where(on_node, 1.0, diff)
+    qbar = np.conj(evaluate(spec, grid.nodes))
+    theta_x = evaluate(spec, xs)
+    kmat = (0.5j / math.pi) * (1.0 - qbar[:, None] * theta_x[None, :]) / safe
+    terms = (samples.values / grid.weights)[:, None] * kmat
+    if damping is not None:
+        terms = terms * damping(diff)
+    terms = np.where(on_node, samples.values[:, None], terms)
+    return _shaped(terms.sum(axis=0), x)
+
+
+def dense_clark(samples, spec, x):
+    return _dense_node_expansion(samples, spec, x)
+
+
+def dense_model_oversample(samples, base_spec, over_c, m, x):
+    def damping(diff):
+        return np.exp(-0.5j * over_c * diff) * sinc(over_c * diff / (2.0 * m)) ** m
+
+    return _dense_node_expansion(samples, enlarge(base_spec, over_c, ()), x, damping)

@@ -1,6 +1,8 @@
 """End-to-end runs of the JSON-config command driver."""
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -293,3 +295,16 @@ def test_certify_sieve_deterministic(tmp_path):
         ta = strip_timestamps((tmp_path / "a" / name).read_text(encoding="utf-8"))
         tb = strip_timestamps((tmp_path / "b" / name).read_text(encoding="utf-8"))
         assert ta == tb
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_examples_run(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 7  # one example per command
+    for i, block in enumerate(blocks):
+        out = tmp_path / f"example{i}"
+        out.mkdir()
+        assert run_cli(out, json.loads(block)) == 0, block

@@ -16,6 +16,7 @@ from modelspace.inner import (
     from_dict,
     phase,
     phase_arrays,
+    phase_difference,
     to_dict,
 )
 
@@ -146,6 +147,27 @@ def test_phase_arrays_shape_and_values():
     for x, v, d in zip(xs, vals, ders):
         p = phase(spec, float(x))
         assert p.value == pytest.approx(v) and p.derivative == pytest.approx(d)
+
+
+def test_phase_difference_matches_phase_values():
+    spec = InnerFunctionSpec(tau=0.4, c=0.7, zeros=(BlaschkeZero(1.0, 0.3, 2),
+                                                     BlaschkeZero(-2.0, 1.5)))
+    xs = np.linspace(-6.0, 6.0, 25)
+    ys = xs[::-1] + 0.37  # pairs on both sides of each zero
+    vx, _ = phase_arrays(spec, xs)
+    vy, _ = phase_arrays(spec, ys)
+    np.testing.assert_allclose(phase_difference(spec, xs, ys), vx - vy, rtol=0, atol=1e-13)
+
+
+def test_phase_difference_keeps_precision_next_to_a_point():
+    # phi(x + h) - phi(x) = phi'(x) h + phi''(x) h^2 / 2 + ..., with the
+    # quadratic term below 1e-10 relative at h = 1e-10
+    spec = InnerFunctionSpec(tau=0.0, c=1.0, zeros=(BlaschkeZero(0.0, 1.0), BlaschkeZero(2.0, 0.5)))
+    xs = np.linspace(-30.0, 30.0, 61) + 0.123
+    _, der = phase_arrays(spec, xs)
+    h = 1e-10
+    got = phase_difference(spec, xs + h, xs)
+    np.testing.assert_allclose(got, der * ((xs + h) - xs), rtol=1e-9)
 
 
 # --------------------------------------------- sup norm of the phase derivative

@@ -40,6 +40,22 @@ def test_sinc_taylor_stub_is_continuous():
         assert sinc(t) == pytest.approx(math.sin(t) / t, rel=1e-15)
 
 
+def test_sinc_bits_match_full_taylor_expression():
+    # the stub is now computed only where it is used; the bits must not move
+    rng = np.random.default_rng(7)
+    t = np.concatenate([
+        rng.standard_normal(20000) * 10.0 ** rng.integers(-12, 3, 20000),
+        rng.uniform(-2e-4, 2e-4, 20000),
+        [0.0, -0.0, 1e-4, -1e-4, np.nextafter(1e-4, 0.0), np.nextafter(-1e-4, 0.0),
+         1e-300, -1e-300, 5e-324, -5e-324, 1e-160, 3.0, math.pi, 1e8],
+    ])
+    small = np.abs(t) < 1e-4
+    safe = np.where(small, 1.0, t)
+    old = np.where(small, 1.0 - t * t / 6.0 + t**4 / 120.0, np.sin(safe) / safe)
+    np.testing.assert_array_equal(sinc(t).view(np.uint64), old.view(np.uint64))
+    assert all(sinc(float(v)) == w for v, w in zip(t[-14:], old[-14:]))
+
+
 def test_sinc_array_matches_scalar():
     ts = np.array([-2.0, -1e-6, 0.0, 1e-5, 0.5, 40.0])
     out = sinc(ts)

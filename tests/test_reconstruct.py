@@ -1,9 +1,12 @@
 """Interpolation routes: cardinal series, oversampled sinc, kernel expansions."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from modelspace import reconstruct
 from modelspace.clark import solve_nodes
 from modelspace.harness import KernelCombination, random_model_function
 from modelspace.inner import BlaschkeZero, InnerFunctionSpec, enlarge
@@ -270,3 +273,135 @@ def test_plancherel_matches_unit_norm(spec_two):
     f = random_model_function(spec_two, 5, seed=3)  # unit L^2 norm by construction
     grid = solve_nodes(spec_two, 0.0, -300, 300)
     assert plancherel_norm(sample_function(f, grid)) == pytest.approx(1.0, abs=1e-3)
+
+
+# ------------------------------------------------------ dense-oracle agreement
+
+def _random_spec(rng):
+    zeros = tuple(
+        BlaschkeZero(rng.uniform(-6.0, 6.0), rng.uniform(0.2, 2.0), int(rng.integers(1, 3)))
+        for _ in range(int(rng.integers(0, 4))))
+    return InnerFunctionSpec(tau=rng.uniform(0.0, 2.0 * math.pi),
+                             c=rng.uniform(0.5, 2.0), zeros=zeros)
+
+
+def _random_values(rng, count):
+    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+
+def _queries(rng, nodes):
+    """57 points between nodes plus 6 exact nodes; 63 queries in all.
+
+    The scattered points keep a quarter of a gap from the nodes: closer in,
+    the dense kernel sums lose digits to cancellation (see the test of
+    queries just off a node) and would no longer serve as a reference.
+    """
+    pick = rng.choice(np.flatnonzero(np.abs(nodes[:-1]) < 20.0), 57)
+    between = nodes[pick] + rng.uniform(0.25, 0.75, 57) * (nodes[pick + 1] - nodes[pick])
+    return np.concatenate([between, rng.choice(nodes[np.abs(nodes) < 15.0], 6)])
+
+
+def _assert_agrees(got, want):
+    assert np.shape(got) == np.shape(want)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * scale
+
+
+# one query per chunk, 5 per chunk (63 = 12 * 5 + 3), and the default budget
+CHUNK_QUERIES = (1, 5, None)
+
+
+def _set_chunk(monkeypatch, queries, nodes):
+    if queries is not None:
+        monkeypatch.setattr(reconstruct, "_CHUNK_BYTES", 16 * nodes * queries)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_QUERIES)
+@pytest.mark.parametrize("seed", range(4))
+def test_band_routes_match_dense_sums(seed, chunk, monkeypatch):
+    rng = np.random.default_rng(seed)
+    window = int(rng.integers(50, 400))
+    vals = _random_values(rng, 2 * window + 1)
+    _set_chunk(monkeypatch, chunk, vals.size)
+    b = rng.uniform(0.5, 3.0)
+    ks = SincKernelSpec(power=int(rng.integers(0, 4)), a=rng.uniform(0.2, 1.0),
+                        c=rng.uniform(0.5, 2.0))
+    cases = ((shannon_reconstruct, oracles.dense_shannon, b, b),
+             (pw_oversample_reconstruct, oracles.dense_pw_oversample, ks, ks.b))
+    for route, oracle, param, band in cases:
+        xs = _queries(rng, np.arange(-window, window + 1) * (math.pi / band))
+        _assert_agrees(route(vals, param, xs), oracle(vals, param, xs))
+        grid_2d = xs[:60].reshape(3, 20)
+        _assert_agrees(route(vals, param, grid_2d), oracle(vals, param, grid_2d))
+        got = route(vals, param, float(xs[-1]))
+        assert isinstance(got, complex)
+        assert got == pytest.approx(oracle(vals, param, float(xs[-1])), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_QUERIES)
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_routes_match_dense_sums(seed, chunk, monkeypatch):
+    rng = np.random.default_rng(100 + seed)
+    spec = _random_spec(rng)
+    window = int(rng.integers(50, 400))
+    gamma = rng.uniform(0.0, 2.0 * math.pi)
+    over_c = rng.uniform(0.3, 2.0)
+    m = int(rng.integers(1, 4))
+    _set_chunk(monkeypatch, chunk, 2 * window + 1)
+    grid = solve_nodes(spec, gamma, -window, window)
+    big_grid = solve_nodes(enlarge(spec, over_c, ()), gamma, -window, window)
+    cases = (
+        (lambda s, x: clark_reconstruct(s, spec, x),
+         lambda s, x: oracles.dense_clark(s, spec, x), grid),
+        (lambda s, x: model_oversample_reconstruct(s, spec, over_c, m, x),
+         lambda s, x: oracles.dense_model_oversample(s, spec, over_c, m, x), big_grid),
+    )
+    for route, oracle, g in cases:
+        samples = SampleSet(grid=g, values=_random_values(rng, len(g)))
+        xs = _queries(rng, g.nodes)
+        _assert_agrees(route(samples, xs), oracle(samples, xs))
+        on_nodes = xs[-6:]
+        idx = np.searchsorted(g.nodes, on_nodes)
+        np.testing.assert_allclose(route(samples, on_nodes), samples.values[idx],
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(samples.values)))
+        grid_2d = xs[:60].reshape(3, 4, 5)
+        _assert_agrees(route(samples, grid_2d), oracle(samples, grid_2d))
+        got = route(samples, float(xs[0]))
+        assert isinstance(got, complex)
+        assert got == pytest.approx(oracle(samples, float(xs[0])), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("route", ["clark", "model_oversample"])
+def test_kernel_expansion_accurate_just_off_a_node(spec_two, route):
+    # 1 - conj(Theta(x_n)) Theta(x) cancels next to a node; the exact phase
+    # difference keeps the removable diagonal accurate down to the fill radius
+    f = random_model_function(spec_two, 5, seed=4)
+    if route == "clark":
+        grid = solve_nodes(spec_two, 1.3, -1000, 1000)
+        rec = lambda x: clark_reconstruct(sample_function(f, grid), spec_two, x)
+    else:
+        grid = solve_nodes(enlarge(spec_two, 1.0, ()), 1.3, -1000, 1000)
+        rec = lambda x: model_oversample_reconstruct(sample_function(f, grid), spec_two, 1.0, 2, x)
+    nodes = grid.nodes[np.abs(grid.nodes) < 3.0]
+    for delta in (1e-11, 1e-9, 1e-7, 1e-5):
+        xs = np.concatenate([nodes + delta, nodes - delta])
+        assert np.max(np.abs(rec(xs) - f(xs))) <= 1e-12, delta
+
+
+def test_kernel_expansions_memory_bounded(spec_two):
+    f = random_model_function(spec_two, 5, seed=2)
+    grid = solve_nodes(spec_two, 0.5, -30000, 30000)
+    big_grid = solve_nodes(enlarge(spec_two, 1.0, ()), 0.5, -30000, 30000)
+    samples = sample_function(f, grid)
+    big_samples = sample_function(f, big_grid)
+    xs = np.linspace(-50.0, 50.0, 1001)
+    for run in (lambda: clark_reconstruct(samples, spec_two, xs),
+                lambda: model_oversample_reconstruct(big_samples, spec_two, 1.0, 2, xs)):
+        tracemalloc.start()
+        try:
+            rec = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.max(np.abs(rec - f(xs))) < 1e-8
