@@ -7,17 +7,20 @@ the sampling grid used by the interpolation and certification modules.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import InnerFunctionSpec, derivative_sup_norm, phase_arrays
-
-TWO_PI = 2.0 * math.pi
+from .inner import TWO_PI, InnerFunctionSpec, derivative_sup_norm, phase_arrays
 
 # Certification threshold on |phi(x_n) - gamma - 2 pi n| for emitted grids.
 RESIDUAL_TOL = 1e-10
+
+# Safeguarded Newton steps allowed per phase inversion before it gives up.
+_MAX_STEPS = 64
+# Targets or rows handled together by invert_phase and write_grid_csv; bounds
+# their workspace, which would otherwise grow with the node window.
+_CHUNK = 8192
 
 __all__ = ["NoNodesError", "SamplingGrid", "invert_phase", "solve_nodes",
            "node_spacing_bounds", "write_grid_csv"]
@@ -60,33 +63,66 @@ class SamplingGrid:
 
 
 def invert_phase(spec: InnerFunctionSpec, target):
-    """Solve phi(x) = target for scalar or array targets.
+    """Solve phi(x) = target for scalar or array targets (any shape).
 
-    Monotone bisection on a bracket wide enough to absorb the bounded
-    Blaschke phase, then two Newton steps for full double precision.
-    Requires c > 0 (otherwise the phase has bounded range).
+    Safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4).  With
+    x0 = (target - tau) / c, the bounded Blaschke phase puts the root inside
+    [x0 - pad, x0 + pad], pad = 2 pi M / c + 1 for total multiplicity M.
+    Starting from x0, each step shrinks that bracket by the sign of
+    phi(x) - target and then takes the Newton step, or the bracket midpoint
+    when the Newton step would leave the open bracket or not halve the step
+    before it.  Targets go in chunks of _CHUNK, and only targets still open
+    are evaluated.  A target is done once its residual is at most
+    1e-14 (1 + |target|) or its Newton step at most 1e-15 (1 + |x|), and
+    that last Newton step is kept; or once no float lies strictly inside its
+    bracket.  Raises RuntimeError when a target is still open after
+    _MAX_STEPS steps, and ValueError for a non-finite target.  Requires
+    c > 0 (otherwise the phase has bounded range).
     """
     if not spec.c > 0.0:
         raise NoNodesError("phase inversion requires exponential type c > 0")
-    t = np.atleast_1d(np.asarray(target, dtype=float))
-    swing = TWO_PI * spec.total_multiplicity
-    x0 = (t - spec.tau) / spec.c
-    pad = swing / spec.c + 1.0
-    lo = x0 - pad
-    hi = x0 + pad
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        vals, _ = phase_arrays(spec, mid)
-        go_right = vals < t
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(2):
-        vals, derivs = phase_arrays(spec, x)
-        x = x - (vals - t) / derivs
+    t = np.asarray(target, dtype=float).ravel()
+    if not np.all(np.isfinite(t)):
+        raise ValueError("phase targets must be finite")
+    x = np.empty_like(t)
+    for start in range(0, t.size, _CHUNK):
+        x[start:start + _CHUNK] = _newton_bracketed(spec, t[start:start + _CHUNK])
     if np.ndim(target) == 0:
         return float(x[0])
     return x.reshape(np.shape(target))
+
+
+def _newton_bracketed(spec: InnerFunctionSpec, t: np.ndarray) -> np.ndarray:
+    """invert_phase on a 1-d array of finite targets."""
+    x = (t - spec.tau) / spec.c
+    pad = TWO_PI * spec.total_multiplicity / spec.c + 1.0
+    lo = x - pad
+    hi = x + pad
+    step = np.full_like(x, 2.0 * pad)
+    todo = np.arange(t.size)
+    for _ in range(_MAX_STEPS):
+        if todo.size == 0:
+            return x
+        xa, ta = x[todo], t[todo]
+        vals, derivs = phase_arrays(spec, xa)
+        resid = vals - ta
+        la = np.where(resid < 0.0, xa, lo[todo])
+        ha = np.where(resid > 0.0, xa, hi[todo])
+        newton = resid / derivs
+        small = ((np.abs(resid) <= 1e-14 * (1.0 + np.abs(ta)))
+                 | (np.abs(newton) <= 1e-15 * (1.0 + np.abs(xa))))
+        xn = xa - newton
+        mid = 0.5 * (la + ha)
+        bisect = ~small & ((xn <= la) | (xn >= ha)
+                           | (np.abs(newton) > 0.5 * np.abs(step[todo])))
+        xn = np.where(bisect, mid, xn)
+        done = small | (mid == la) | (mid == ha)
+        x[todo], lo[todo], hi[todo], step[todo] = xn, la, ha, xn - xa
+        todo = todo[~done]
+    if todo.size:
+        raise RuntimeError(f"phase inversion left {todo.size} targets unconverged "
+                           f"after {_MAX_STEPS} steps")
+    return x
 
 
 def solve_nodes(spec: InnerFunctionSpec, gamma: float, n_min: int, n_max: int) -> SamplingGrid:
@@ -152,8 +188,10 @@ def write_grid_csv(grid: SamplingGrid, path, extra_header: dict | None = None) -
     for key, val in header.items():
         lines.append(f"# {key}={val}")
     lines.append("n,x_n,weight")
-    for n, x, w in zip(grid.indices, grid.nodes, grid.weights):
-        lines.append(f"{int(n)},{x:.17g},{w:.17g}")
+    for start in range(0, len(grid), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        lines.extend(f"{n},{x:.17g},{w:.17g}" for n, x, w in zip(
+            grid.indices[part].tolist(), grid.nodes[part].tolist(), grid.weights[part].tolist()))
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)

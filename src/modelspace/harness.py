@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .inner import InnerFunctionSpec, derivative_sup_norm, evaluate, phase, phase_arrays, to_dict
-
-TWO_PI = 2.0 * math.pi
+from .inner import (TWO_PI, InnerFunctionSpec, derivative_sup_norm, evaluate, phase,
+                    phase_arrays, phase_derivative, to_dict)
 
 # Relative certification target for p-th power mass (interior + analytic tail).
 NORM_REL_TOL = 1e-6
@@ -123,7 +122,7 @@ class KernelCombination:
     def derivative(self, x):
         """Exact derivative on the real line via Theta' = i phi' Theta."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        _, dph = phase_arrays(self.spec, xs)
+        dph = phase_derivative(self.spec, xs)
         theta = evaluate(self.spec, xs)
         dtheta = 1j * dph * theta
         den = xs[None, :] - self._wbar[:, None]

@@ -21,6 +21,7 @@ phi(0) = tau - 2 sum_k m_k atan2(v_k, -u_k).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ __all__ = [
     "evaluate",
     "phase",
     "phase_arrays",
+    "phase_derivative",
     "phase_difference",
     "derivative_sup_norm",
     "enlarge",
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Distinct specs whose derivative_sup_norm is kept.
+_SUP_NORM_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -102,16 +107,26 @@ def evaluate(spec: InnerFunctionSpec, z):
     """Evaluate Theta at z (scalar or ndarray, real or complex).
 
     Unimodular on the real axis; |Theta| < 1 in the open upper half-plane
-    unless the spec is degenerate.
+    unless the spec is degenerate.  The Blaschke factors are formed in
+    preallocated buffers; no array is allocated per zero of multiplicity 1.
     """
-    zz = np.asarray(z, dtype=complex)
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.exp(1j * (spec.tau + spec.c * zz))
+    num = np.empty_like(zz)
+    den = np.empty_like(zz)
     for zero in spec.zeros:
         lam = complex(zero.re, zero.im)
-        out = out * ((zz - lam) / (zz - lam.conjugate())) ** zero.mult
+        np.subtract(zz, lam, out=num)
+        np.subtract(zz, lam.conjugate(), out=den)
+        np.divide(num, den, out=num)
+        # ** 1 would still run numpy's complex power loop.  The product goes
+        # to the spare buffer: numpy rounds an in-place complex multiply of
+        # a single element differently from out * factor.
+        np.multiply(out, num if zero.mult == 1 else num ** zero.mult, out=den)
+        out, den = den, out
     if np.ndim(z) == 0:
-        return complex(out)
-    return out
+        return complex(out[0])
+    return out.reshape(np.shape(z))
 
 
 def phase_arrays(spec: InnerFunctionSpec, x):
@@ -121,12 +136,27 @@ def phase_arrays(spec: InnerFunctionSpec, x):
     """
     xx = np.asarray(x, dtype=float)
     val = spec.tau + spec.c * xx
-    der = np.full_like(xx, spec.c)
     for zero in spec.zeros:
-        w = xx - zero.re
-        val = val - (2.0 * zero.mult) * np.arctan2(zero.im, w)
-        der = der + (2.0 * zero.mult) * zero.im / (w * w + zero.im * zero.im)
-    return val, der
+        val = val - (2.0 * zero.mult) * np.arctan2(zero.im, xx - zero.re)
+    return val, phase_derivative(spec, xx)
+
+
+def phase_derivative(spec: InnerFunctionSpec, x):
+    """Phase derivative phi'(x) = c + sum_k 2 m_k v_k / ((x - u_k)^2 + v_k^2).
+
+    Vectorised over real points; returns a float ndarray of the input shape
+    (a numpy float for scalar input).  One buffer is reused across zeros.
+    """
+    xx = np.asarray(x, dtype=float)
+    der = np.full_like(xx, spec.c)
+    w = np.empty_like(xx)
+    for zero in spec.zeros:
+        np.subtract(xx, zero.re, out=w)
+        np.multiply(w, w, out=w)
+        w += zero.im * zero.im
+        np.divide((2.0 * zero.mult) * zero.im, w, out=w)
+        der += w
+    return der[()]
 
 
 def phase_difference(spec: InnerFunctionSpec, x, y):
@@ -163,8 +193,9 @@ def _phase_second_derivative(spec: InnerFunctionSpec, x):
     return out
 
 
+@functools.lru_cache(maxsize=_SUP_NORM_CACHE_SIZE)
 def derivative_sup_norm(spec: InnerFunctionSpec) -> float:
-    """sup over the real axis of phi' = |Theta'|.
+    """sup over the real axis of phi' = |Theta'|, cached per spec.
 
     Without zeros the derivative is constant c.  With zeros, every local
     maximum of phi' is a sign change of phi'' and the zeros' imaginary parts

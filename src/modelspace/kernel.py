@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .inner import InnerFunctionSpec, evaluate, phase_arrays
-
-TWO_PI = 2.0 * math.pi
+from .inner import TWO_PI, InnerFunctionSpec, evaluate, phase_derivative
 
 __all__ = [
     "DegenerateDiagonalError",
@@ -125,8 +123,7 @@ def reproducing_kernel(spec: InnerFunctionSpec, z, w):
 def kernel_norm_sq(spec: InnerFunctionSpec, x):
     """Squared norm of the kernel anchored at real x: phase derivative / 2pi."""
     arr = np.asarray(x, dtype=float)
-    _, deriv = phase_arrays(spec, arr.ravel())
-    out = deriv.reshape(arr.shape) / TWO_PI
+    out = phase_derivative(spec, arr) / TWO_PI
     if np.ndim(x) == 0:
         return float(out)
     return out

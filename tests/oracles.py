@@ -1,10 +1,12 @@
 """Slow independent oracles used only by the tests.
 
 Deliberately dumb implementations: composite Simpson with one Richardson
-step, dense grid scans, golden-section refinement, central differences, and
-the dense O(N*M) node x query sums of the four reconstruction routes.
-Nothing here may import the adaptive quadrature or the reconstruction code
-under test.
+step, dense grid scans, golden-section refinement, central differences,
+fixed-round bisection for the phase inverse, the allocating per-zero
+forms of Theta, phi, phi' and the kernel-combination derivative, and the
+dense O(N*M) node x query sums of the four reconstruction routes.  Nothing
+here may import the adaptive quadrature, the phase inversion or the
+reconstruction code under test.
 """
 import math
 
@@ -58,6 +60,70 @@ def golden_max(f, lo, hi, iters=120):
 
 def central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# Theta, phi and phi' one zero at a time, each factor a fresh temporary.
+
+def blaschke_product(spec, z):
+    """Theta(z) = e^{i(tau + c z)} prod ((z - lam) / (z - conj lam))^m."""
+    zz = np.asarray(z, dtype=complex)
+    out = np.exp(1j * (spec.tau + spec.c * zz))
+    for zero in spec.zeros:
+        lam = complex(zero.re, zero.im)
+        out = out * ((zz - lam) / (zz - lam.conjugate())) ** zero.mult
+    return out
+
+
+def summed_phase_arrays(spec, x):
+    """(phi, phi') with both sums formed in one loop over the zeros."""
+    xx = np.asarray(x, dtype=float)
+    val = spec.tau + spec.c * xx
+    der = np.full_like(xx, spec.c)
+    for zero in spec.zeros:
+        w = xx - zero.re
+        val = val - (2.0 * zero.mult) * np.arctan2(zero.im, w)
+        der = der + (2.0 * zero.mult) * zero.im / (w * w + zero.im * zero.im)
+    return val, der
+
+
+def kernel_combination_derivative(f, x):
+    """f'(x) on the real line from Theta' = i phi' Theta, phi' taken from
+    summed_phase_arrays."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    _, dph = summed_phase_arrays(f.spec, xs)
+    theta = blaschke_product(f.spec, xs)
+    dtheta = 1j * dph * theta
+    wbar = np.conj(f.anchors)
+    qbar = np.conj(blaschke_product(f.spec, f.anchors))
+    den = xs[None, :] - wbar[:, None]
+    num = 1.0 - qbar[:, None] * theta[None, :]
+    terms = (-qbar[:, None] * dtheta[None, :] * den - num) / den**2
+    return ((0.5j / math.pi) * (f.coefficients[None, :] @ terms)[0]).reshape(np.shape(x))
+
+
+def bisect_invert_phase(spec, target):
+    """phi(x) = target by 64 bisection rounds on [x0 - pad, x0 + pad], then
+    two Newton steps; requires c > 0."""
+    t = np.atleast_1d(np.asarray(target, dtype=float))
+    swing = 2.0 * math.pi * spec.total_multiplicity
+    x0 = (t - spec.tau) / spec.c
+    pad = swing / spec.c + 1.0
+    lo = x0 - pad
+    hi = x0 + pad
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        vals, _ = summed_phase_arrays(spec, mid)
+        go_right = vals < t
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(2):
+        vals, derivs = summed_phase_arrays(spec, x)
+        x = x - (vals - t) / derivs
+    if np.ndim(target) == 0:
+        return float(x[0])
+    return x.reshape(np.shape(target))
 
 
 # ---------------------------------------------------------------------------

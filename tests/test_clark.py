@@ -1,13 +1,15 @@
 """Phase-crossing node solving, grid certification and CSV export."""
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelspace import quadrature
+import oracles
+from modelspace import clark, quadrature
 from modelspace.clark import (
     RESIDUAL_TOL,
     NoNodesError,
@@ -17,7 +19,8 @@ from modelspace.clark import (
     solve_nodes,
     write_grid_csv,
 )
-from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase_arrays
+from modelspace.inner import (BlaschkeZero, InnerFunctionSpec, evaluate, phase_arrays,
+                              phase_derivative)
 from modelspace.kernel import kernel_norm_sq, reproducing_kernel
 
 TWO_PI = 2.0 * math.pi
@@ -79,6 +82,104 @@ def test_invert_phase_array_matches_scalar(spec_one):
     assert xs.shape == ts.shape
     for t, x in zip(ts, xs):
         assert invert_phase(spec_one, float(t)) == pytest.approx(x, abs=1e-12)
+
+
+def _dense_layout(count=32, seed=1):
+    """Zeros on a Latin hypercube over Re in [-100, 100], Im in [0.25, 2]."""
+    rng = random.Random(seed)
+    heights = list(range(count))
+    rng.shuffle(heights)
+    zeros = tuple(BlaschkeZero(round(-100.0 + 200.0 * (k + rng.random()) / count, 6),
+                               round(0.25 + 1.75 * (heights[k] + rng.random()) / count, 6))
+                  for k in range(count))
+    return InnerFunctionSpec(tau=0.0, c=1.0, zeros=zeros)
+
+
+def _random_spec(rng):
+    zeros = tuple(BlaschkeZero(rng.uniform(-20.0, 20.0), rng.uniform(0.01, 3.0),
+                               int(rng.integers(1, 4)))
+                  for _ in range(int(rng.integers(1, 6))))
+    return InnerFunctionSpec(tau=rng.uniform(-3.0, 3.0), c=rng.uniform(0.05, 4.0), zeros=zeros)
+
+
+def _assert_matches_bisection(spec, targets):
+    """Within 2 ulp(x) plus twice the rounding scale of phi over phi'.
+
+    phi is a sum of terms up to |tau|, c|x| and 2 pi M, so it is rounded on
+    the scale eps (|tau| + c|x| + 2 pi M); both solvers stop at that noise,
+    which near x = 0 spans many ulp(x).
+    """
+    got = invert_phase(spec, targets)
+    want = oracles.bisect_invert_phase(spec, targets)
+    noise = np.finfo(float).eps * (abs(spec.tau) + spec.c * np.abs(want)
+                                   + TWO_PI * spec.total_multiplicity)
+    tol = 2.0 * (np.spacing(np.abs(want)) + noise / phase_derivative(spec, want))
+    assert np.all(np.abs(got - want) <= tol)
+    return got
+
+
+def test_invert_phase_matches_bisection_oracle(spec_one, spec_two):
+    nodes = 0.7 + TWO_PI * np.arange(-5000, 5001)
+    for spec in (spec_one, spec_two, _dense_layout()):
+        got = _assert_matches_bisection(spec, nodes)
+        assert np.mean(got == oracles.bisect_invert_phase(spec, nodes)) > 0.95
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        _assert_matches_bisection(_random_spec(rng), rng.uniform(-500.0, 500.0, 2000))
+
+
+def test_invert_phase_hard_specs():
+    thin = InnerFunctionSpec(tau=0.3, c=1.0, zeros=(BlaschkeZero(1.0, 1e-3),))
+    triple = InnerFunctionSpec(tau=-1.0, c=0.5, zeros=(BlaschkeZero(-2.0, 0.2, 3),))
+    far = InnerFunctionSpec(tau=0.0, c=0.05, zeros=(BlaschkeZero(0.0, 1.0),
+                                                    BlaschkeZero(1e4, 0.5)))
+    for spec in (thin, triple, far):
+        lo, _ = phase_arrays(spec, -1e5)
+        hi, _ = phase_arrays(spec, 2e4)
+        # across each zero, where the phase climbs by 2 pi m within a few v
+        near = [phase_arrays(spec, z.re + z.im * np.linspace(-20.0, 20.0, 401))[0]
+                for z in spec.zeros]
+        # and in both tails and on a sweep between them
+        targets = np.sort(np.concatenate([lo - np.geomspace(1.0, 1e3, 8),
+                                          np.linspace(lo, hi, 4001),
+                                          hi + np.geomspace(1.0, 1e3, 8), *near]))
+        x = _assert_matches_bisection(spec, targets)
+        assert np.all(np.diff(x) >= 0.0)
+        # residual at the rounding of phi plus one ulp(x) step of phi
+        vals, ders = phase_arrays(spec, x)
+        noise = np.finfo(float).eps * (abs(spec.tau) + spec.c * np.abs(x)
+                                       + TWO_PI * spec.total_multiplicity)
+        assert np.all(np.abs(vals - targets) <= 2.0 * (noise + ders * np.spacing(np.abs(x))))
+
+
+def test_invert_phase_keeps_target_shape(spec_two):
+    ts = np.linspace(-40.0, 40.0, 12)
+    flat = invert_phase(spec_two, ts)
+    assert flat.shape == (12,)
+    grid = invert_phase(spec_two, ts.reshape(3, 4))
+    assert grid.shape == (3, 4) and np.array_equal(grid.ravel(), flat)
+    single = invert_phase(spec_two, float(ts[5]))
+    assert isinstance(single, float) and single == flat[5]
+    assert invert_phase(spec_two, np.array([ts[5]])).shape == (1,)
+
+
+def test_invert_phase_chunks_give_the_same_bits(spec_two, monkeypatch):
+    ts = np.linspace(-400.0, 400.0, 1001)
+    whole = invert_phase(spec_two, ts)
+    monkeypatch.setattr(clark, "_CHUNK", 7)
+    assert np.array_equal(invert_phase(spec_two, ts), whole)
+
+
+def test_invert_phase_reports_nonconvergence(spec_two, monkeypatch):
+    monkeypatch.setattr(clark, "_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="unconverged"):
+        invert_phase(spec_two, np.linspace(-10.0, 10.0, 5))
+
+
+def test_invert_phase_rejects_nonfinite_targets(spec_two):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            invert_phase(spec_two, np.array([0.0, bad]))
 
 
 def test_invert_phase_requires_growth():
@@ -222,6 +323,19 @@ def test_grid_csv_format(spec_two, tmp_path):
     target = tmp_path / "grid.csv"
     write_grid_csv(grid, target, extra_header={"run": "t1"})
     assert target.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("chunk", [5, 8192])
+def test_grid_csv_rows_match_per_row_format(spec_two, chunk, monkeypatch):
+    monkeypatch.setattr(clark, "_CHUNK", chunk)
+    grid = solve_nodes(spec_two, 2.5, -40, 7)
+    buf = io.StringIO()
+    write_grid_csv(grid, buf)
+    lines = buf.getvalue().split("\n")
+    body = lines[lines.index("n,x_n,weight") + 1:-1]
+    want = [f"{int(n)},{x:.17g},{w:.17g}"
+            for n, x, w in zip(grid.indices, grid.nodes, grid.weights)]
+    assert body == want and body[0].startswith("-40,")
 
 
 def test_grid_csv_deterministic(spec_one):

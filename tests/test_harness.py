@@ -115,6 +115,18 @@ def test_derivative_matches_difference_quotient(spec_two):
         assert f.derivative(float(x)) == pytest.approx(fd, rel=2e-6, abs=1e-9)
 
 
+def test_derivative_bits_match_phase_arrays_oracle(spec_two):
+    spec_three = InnerFunctionSpec(tau=0.8, c=0.5, zeros=(
+        BlaschkeZero(-1.0, 0.3, 3), BlaschkeZero(4.0, 2.0), BlaschkeZero(0.5, 0.01, 2)))
+    rng = np.random.default_rng(41)
+    for spec in (spec_two, spec_three):
+        f = random_model_function(spec, 6, seed=43)
+        for x in (rng.uniform(-30.0, 30.0, 1), rng.uniform(-30.0, 30.0, 513)):
+            got = f.derivative(x)
+            want = oracles.kernel_combination_derivative(f, x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_membership_orthogonal_to_shifted_hardy_kernel(spec_two):
     # the combination must be orthogonal to Theta times any analytic kernel
     f = random_model_function(spec_two, 5, seed=23)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from modelspace import inner
 from modelspace.inner import (
     BlaschkeZero,
     InnerFunctionSpec,
@@ -16,6 +17,7 @@ from modelspace.inner import (
     from_dict,
     phase,
     phase_arrays,
+    phase_derivative,
     phase_difference,
     to_dict,
 )
@@ -91,6 +93,57 @@ def test_array_scalar_agreement():
     vals = evaluate(spec, xs)
     for x, v in zip(xs, vals):
         assert evaluate(spec, float(x)) == pytest.approx(v, rel=1e-14)
+
+
+def _kernel_specs():
+    """Seeded specs with multiplicities 1-3, plus the zero-free case."""
+    rng = np.random.default_rng(20)
+    specs = [InnerFunctionSpec(tau=0.4, c=1.5, zeros=())]
+    for mult in (1, 2, 3):
+        for _ in range(3):
+            zeros = tuple(BlaschkeZero(rng.uniform(-20.0, 20.0), rng.uniform(0.01, 3.0),
+                                       int(rng.integers(1, mult + 1)))
+                          for _ in range(int(rng.integers(1, 6))))
+            zeros += (BlaschkeZero(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 2.0), mult),)
+            specs.append(InnerFunctionSpec(tau=rng.uniform(-3.0, 3.0),
+                                           c=rng.uniform(0.0, 4.0), zeros=zeros))
+    return specs
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_evaluate_bits_match_per_zero_product():
+    rng = np.random.default_rng(21)
+    for spec in _kernel_specs():
+        for size in (1, 2, 3, 64, 1001):
+            x = rng.uniform(-40.0, 40.0, size)
+            z = x + 1j * rng.uniform(0.0, 3.0, size)
+            for pts in (x, z, z.reshape(1, -1)):
+                assert _same_bits(evaluate(spec, pts), oracles.blaschke_product(spec, pts))
+        # a scalar gives the bits of the same point inside an array
+        x = rng.uniform(-40.0, 40.0, 16)
+        z = x + 1j * rng.uniform(0.0, 3.0, 16)
+        for pts in (x, z):
+            arr = oracles.blaschke_product(spec, pts)
+            for p, want in zip(pts.tolist(), arr):
+                got = evaluate(spec, p)
+                assert isinstance(got, complex) and _same_bits(got, want)
+
+
+def test_phase_derivative_bits_match_phase_arrays():
+    rng = np.random.default_rng(22)
+    for spec in _kernel_specs():
+        for x in (rng.uniform(-40.0, 40.0, 257), rng.uniform(-40.0, 40.0, (3, 7))):
+            want_val, want_der = oracles.summed_phase_arrays(spec, x)
+            val, der = phase_arrays(spec, x)
+            assert _same_bits(val, want_val) and _same_bits(der, want_der)
+            assert _same_bits(phase_derivative(spec, x), der)
+        x = float(rng.uniform(-40.0, 40.0))
+        got = phase_derivative(spec, x)
+        assert np.ndim(got) == 0 and got == oracles.summed_phase_arrays(spec, x)[1]
 
 
 # --------------------------------------------------------------------- phase
@@ -189,6 +242,21 @@ def test_sup_norm_matches_scan_oracle():
     x0, _ = oracles.dense_scan_max(f, -15.0, 25.0, 1e-3)
     _, peak = oracles.golden_max(f, x0 - 2e-3, x0 + 2e-3)
     assert derivative_sup_norm(spec) == pytest.approx(peak, rel=1e-9)
+
+
+def test_sup_norm_is_cached_per_spec(monkeypatch):
+    zeros = (BlaschkeZero(0.0, 1.0), BlaschkeZero(3.0, 0.25, 2))
+    derivative_sup_norm.cache_clear()
+    first = derivative_sup_norm(InnerFunctionSpec(tau=0.0, c=1.0, zeros=zeros))
+
+    def fail(spec, x):
+        raise AssertionError("sup norm recomputed for an equal spec")
+
+    monkeypatch.setattr(inner, "_phase_second_derivative", fail)
+    again = derivative_sup_norm(InnerFunctionSpec(tau=0.0, c=1.0, zeros=zeros))
+    assert type(again) is float and again == first
+    with pytest.raises(AssertionError):
+        derivative_sup_norm(InnerFunctionSpec(tau=0.0, c=2.0, zeros=zeros))
 
 
 @given(spec=spec_strategy(min_zeros=1), x=finite)
