@@ -13,8 +13,12 @@ import numpy as np
 
 from .inner import TWO_PI, InnerFunctionSpec, derivative_sup_norm, phase_arrays
 
-# Certification threshold on |phi(x_n) - gamma - 2 pi n| for emitted grids.
+# Certification threshold on |phi(x_n) - gamma - 2 pi n| for emitted grids;
+# the floor of _residual_tolerance.
 RESIDUAL_TOL = 1e-10
+# ulps of the largest |target| a node residual may reach: the rounding of
+# phi's sum of terms plus the phase step between adjacent floats x.
+_RESIDUAL_ULPS = 4.0
 
 # Safeguarded Newton steps allowed per phase inversion before it gives up.
 _MAX_STEPS = 64
@@ -35,7 +39,9 @@ class SamplingGrid:
     """Certified phase-crossing nodes with their kernel-norm weights.
 
     indices, nodes and weights are parallel arrays ordered by index; nodes
-    are strictly increasing and every weight is positive.
+    are strictly increasing and every weight is positive.  residual_bound is
+    the largest |phi(x_n) - gamma - 2 pi n| over the grid; solve_nodes keeps
+    it within _residual_tolerance(targets).
     """
 
     spec: InnerFunctionSpec
@@ -125,11 +131,24 @@ def _newton_bracketed(spec: InnerFunctionSpec, t: np.ndarray) -> np.ndarray:
     return x
 
 
+def _residual_tolerance(targets) -> float:
+    """max(RESIDUAL_TOL, 4 ulp(max |target|)): the node residual certified.
+
+    phi(x) near a target t is a rounded sum of terms as large as |t|, and
+    adjacent floats x move it by about ulp(t), so no solver gets below about
+    one ulp(t) (the largest seen is one ulp).  The floor governs below
+    |t| = 2^17 (|n| <= 20860 at c = 1).
+    """
+    top = float(np.max(np.abs(targets)))
+    return max(RESIDUAL_TOL, _RESIDUAL_ULPS * float(np.spacing(top)))
+
+
 def solve_nodes(spec: InnerFunctionSpec, gamma: float, n_min: int, n_max: int) -> SamplingGrid:
     """Nodes x_n with phi(x_n) = gamma + 2 pi n for n in [n_min, n_max].
 
     Every returned node is certified: the residual in phase units is checked
-    against RESIDUAL_TOL after polishing.
+    against _residual_tolerance(targets) after polishing, and RuntimeError is
+    raised when any node misses it.
     """
     gamma = float(gamma)
     if not 0.0 <= gamma < TWO_PI:
@@ -147,8 +166,9 @@ def solve_nodes(spec: InnerFunctionSpec, gamma: float, n_min: int, n_max: int) -
     nodes = np.atleast_1d(invert_phase(spec, targets))
     vals, derivs = phase_arrays(spec, nodes)
     resid = float(np.max(np.abs(vals - targets)))
-    if resid > RESIDUAL_TOL:
-        raise RuntimeError(f"node residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    tol = _residual_tolerance(targets)
+    if resid > tol:
+        raise RuntimeError(f"node residual {resid:.3e} exceeds {tol:.1e}")
     return SamplingGrid(spec=spec, gamma=gamma, indices=indices, nodes=nodes,
                         weights=derivs / TWO_PI, residual_bound=resid)
 

@@ -26,6 +26,9 @@ from .inner import (TWO_PI, InnerFunctionSpec, derivative_sup_norm, evaluate, ph
 # Relative certification target for p-th power mass (interior + analytic tail).
 NORM_REL_TOL = 1e-6
 
+# Samples of one period of the periodic tail factor g.
+_TAIL_SAMPLES = 2048
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -74,17 +77,29 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Leading tail behavior |f(x)| ~ |lead_a - lead_b e^{i phi(x)}| / (2 pi |x|^order).
+    """Tail expansion of f (or f') on the real line, in the phase phi of Theta.
 
-    next_scale bounds the next Laurent coefficient plus the drift of the
-    Blaschke phase, so the modulus deviates from the leading form by at most
-    next_scale / (2 pi |x|^{order+1}) once |x| dominates the anchors.
+    With L(theta) = lead_a - lead_b e^{i theta} and
+    L1(theta) = next_a - next_b e^{i theta}, for |x| > reach
+
+        2 pi |x|^order |f(x)| = |L(phi(x)) + L1(phi(x)) / x + E(x)|,
+        |E(x)| <= rest / (x^2 (1 - reach / |x|)^3).
+
+    lead_* and next_* are the leading and next Laurent coefficients; reach
+    is the largest modulus of an anchor or a zero of Theta.  next_scale is a
+    coarser single bound: |f| deviates from |L(phi(x))| / (2 pi |x|^order)
+    by at most next_scale / (2 pi |x|^{order+1}) once |x| dominates the
+    anchors; the window-sup envelope and the fallback tail bound use it.
     """
 
     order: int
     lead_a: complex
     lead_b: complex
     next_scale: float
+    next_a: complex
+    next_b: complex
+    rest: float
+    reach: float
 
 
 @dataclass(eq=False)
@@ -106,11 +121,13 @@ class KernelCombination:
             raise ValueError("anchors must lie strictly in the upper half-plane")
         self._wbar = np.conj(self.anchors)
         self._qbar = np.conj(evaluate(self.spec, self.anchors))
-        # 2 * sum(mult * im): scale of the Blaschke phase still unwinding at |x|
-        self._drift = 2.0 * sum(z.mult * z.im for z in self.spec.zeros)
+        self._drift = _phase_drift(self.spec)
+        self._reach = max([float(np.max(np.abs(self.anchors)))]
+                          + [abs(complex(z.re, z.im)) for z in self.spec.zeros])
 
     def __call__(self, z):
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        """f at points of any shape; z is flattened for the kernel sums."""
+        zz = np.asarray(z, dtype=complex).reshape(-1)
         theta = evaluate(self.spec, zz)
         num = 1.0 - self._qbar[:, None] * theta[None, :]
         den = zz[None, :] - self._wbar[:, None]
@@ -120,8 +137,9 @@ class KernelCombination:
         return out.reshape(np.shape(z))
 
     def derivative(self, x):
-        """Exact derivative on the real line via Theta' = i phi' Theta."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        """Exact derivative on the real line via Theta' = i phi' Theta, at
+        points of any shape."""
+        xs = np.asarray(x, dtype=float).reshape(-1)
         dph = phase_derivative(self.spec, xs)
         theta = evaluate(self.spec, xs)
         dtheta = 1j * dph * theta
@@ -134,42 +152,62 @@ class KernelCombination:
         return out.reshape(np.shape(x))
 
     def _moments(self, k_max: int = 3):
+        """Moments s_k = sum alpha wbar^k and t_k = sum alpha qbar wbar^k, and
+        the bounds u_k = sum |alpha| (1 + |q|) |w|^k, v_k = sum |alpha| |q| |w|^k."""
         al = self.coefficients
         s = [complex(np.sum(al * self._wbar**k)) for k in range(k_max + 1)]
         t = [complex(np.sum(al * self._qbar * self._wbar**k)) for k in range(k_max + 1)]
-        scale = float(np.sum(np.abs(al) * (1.0 + np.abs(self._qbar))))
-        return s, t, scale
+        aw = np.abs(al) * np.abs(self._wbar) ** np.arange(k_max + 1)[:, None]
+        u = aw @ (1.0 + np.abs(self._qbar))
+        v = aw @ np.abs(self._qbar)
+        return s, t, u, v
+
+    def _cancelling(self, s, t, u) -> bool:
+        return max(abs(s[0]), abs(t[0])) <= 1e-9 * max(float(u[0]), 1e-300)
 
     def is_cancelling(self) -> bool:
         """True when both zeroth moments vanish, giving 1/x^2 tail decay."""
-        s, t, scale = self._moments(0)
-        return max(abs(s[0]), abs(t[0])) <= 1e-9 * max(scale, 1e-300)
+        s, t, u, _ = self._moments(0)
+        return self._cancelling(s, t, u)
 
     def decay_profile(self) -> DecayProfile:
-        s, t, scale = self._moments()
-        if max(abs(s[0]), abs(t[0])) <= 1e-9 * max(scale, 1e-300):
+        # 1/(x - wbar) = sum_{k<K} wbar^k / x^{k+1} + wbar^K / (x^K (x - wbar)):
+        # two terms go to lead_* and next_*, the remainder to rest
+        s, t, u, _ = self._moments()
+        if self._cancelling(s, t, u):
             extra = abs(s[2]) + abs(t[2]) + 2.0 * self._drift * abs(t[1])
-            return DecayProfile(2, s[1], t[1], float(extra))
+            return DecayProfile(2, s[1], t[1], float(extra), s[2], t[2],
+                                float(u[3]), self._reach)
         extra = abs(s[1]) + abs(t[1]) + 2.0 * self._drift * abs(t[0])
-        return DecayProfile(1, s[0], t[0], float(extra))
+        return DecayProfile(1, s[0], t[0], float(extra), s[1], t[1],
+                            float(u[2]), self._reach)
 
     def derivative_profile(self) -> DecayProfile:
-        """Tail profile of f'; needs c > 0 so the leading term i c Theta survives."""
+        """Tail profile of f'; needs c > 0 so the leading term i c Theta survives.
+
+        f' = (i / 2 pi) sum alpha [-i phi' qbar Theta / (x - wbar)
+                                   - (1 - qbar Theta) / (x - wbar)^2]
+        with 0 <= phi' - c <= drift / (|x| - reach)^2; rest collects the
+        Laurent remainders of both kernel terms and the phi' - c part.
+        """
         c = self.spec.c
         if c <= 1e-12:
             raise LpNormError("derivative tail certification requires exponential type c > 0")
-        s, t, scale = self._moments()
-        scale = max(scale, 1e-300)
-        if max(abs(s[0]), abs(t[0])) <= 1e-9 * scale:
+        s, t, u, v = self._moments()
+        if self._cancelling(s, t, u):
             extra = c * abs(t[2]) + 2.0 * (abs(s[1]) + abs(t[1])) \
                 + 2.0 * self._drift * (1.0 + c) * abs(t[1])
-            return DecayProfile(2, 0.0, 1j * c * t[1], float(extra))
-        if abs(t[0]) <= 1e-9 * scale:
+            rest = c * v[3] + self._drift * v[1] + 3.0 * u[2]
+            return DecayProfile(2, 0.0, 1j * c * t[1], float(extra), -2.0 * s[1],
+                                1j * c * t[2] - 2.0 * t[1], float(rest), self._reach)
+        if abs(t[0]) <= 1e-9 * max(float(u[0]), 1e-300):
             raise LpNormError(
                 "partial moment cancellation: derivative tail has no certified leading form")
         extra = c * abs(t[1]) + abs(s[0]) + abs(t[0]) \
             + 2.0 * self._drift * (1.0 + c) * abs(t[0])
-        return DecayProfile(1, 0.0, 1j * c * t[0], float(extra))
+        rest = c * v[2] + self._drift * v[0] + 2.0 * u[1]
+        return DecayProfile(1, 0.0, 1j * c * t[0], float(extra), -s[0],
+                            1j * c * t[1] - t[0], float(rest), self._reach)
 
 
 def hardy_kernel(w: complex, x):
@@ -182,16 +220,140 @@ def hardy_kernel(w: complex, x):
     return out
 
 
-def _tail_profile_stats(profile: DecayProfile, spec: InnerFunctionSpec, p: float):
-    """Mean, max and spread of g(theta) = (|A - B e^{i theta}| / 2pi)^p."""
+def _phase_drift(spec: InnerFunctionSpec) -> float:
+    """drift = 2 sum m v: 0 <= phi'(x) - c <= drift / (|x| - reach)^2 for |x| > reach."""
+    return 2.0 * sum(z.mult * z.im for z in spec.zeros)
+
+
+def _tail_samples(profile: DecayProfile, spec: InnerFunctionSpec, p: float) -> np.ndarray:
+    """g(theta) = (|A - B e^{i theta}| / 2pi)^p on _TAIL_SAMPLES points of one period."""
     a, b = profile.lead_a, profile.lead_b
     if spec.c <= 1e-12:
         # phase freezes at tau in both tails (Blaschke swing is a multiple of 2pi)
-        g = float((abs(a - b * np.exp(1j * spec.tau)) / TWO_PI) ** p)
-        return g, g, 0.0
-    theta = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    g = (np.abs(a - b * np.exp(1j * theta)) / TWO_PI) ** p
-    return float(g.mean()), float(g.max()), float(g.max() - g.min())
+        return np.array([(abs(a - b * np.exp(1j * spec.tau)) / TWO_PI) ** p])
+    theta = np.linspace(0.0, TWO_PI, _TAIL_SAMPLES, endpoint=False)
+    return (np.abs(a - b * np.exp(1j * theta)) / TWO_PI) ** p
+
+
+def _alias_bounds(la: float, lb: float, p: float, n: int):
+    """(mean, coefficient) aliasing bounds for the n-point DFT of g, or None.
+
+    g = Q^{p/2} / (2 pi)^p with Q(theta) = (A - B e^{i theta})(conj A - conj B e^{-i theta})
+    is analytic in the strip |Im theta| < sigma = |log(la / lb)|, where
+    Re Q > 0, and |g| <= M = (2 (la^2 + lb^2))^{p/2} / (2 pi)^p up to its
+    edges, so the Fourier coefficients obey |ghat_k| <= M e^{-sigma |k|}.
+    The sample mean then misses gbar by at most 2 M e^{-sigma n} / (1 - e^{-sigma n}).
+    The DFT coefficients below n/2, with the ones above left out and weights
+    |k|^-j <= 1, miss by at most 8 M e^{-sigma n / 2} / (1 - e^{-sigma})
+    (for sigma n >= 1.1; None below, which covers la ~ lb).  A constant g
+    (la lb = 0) and an even integer p (a trigonometric polynomial) alias
+    nothing.  The bounds are for exact arithmetic; the DFT itself rounds at
+    about eps max|g|.
+    """
+    if la * lb == 0.0 or p % 2.0 == 0.0:
+        return 0.0, 0.0
+    sigma = abs(math.log(la / lb))
+    if sigma * n < 1.1:
+        return None
+    big = (2.0 * (la * la + lb * lb)) ** (0.5 * p) / TWO_PI**p
+    return (2.0 * big * math.exp(-sigma * n) / -math.expm1(-sigma * n),
+            8.0 * big * math.exp(-0.5 * sigma * n) / -math.expm1(-sigma))
+
+
+def _sharp_tail_terms(g: np.ndarray, profile: DecayProfile, spec: InnerFunctionSpec,
+                      p: float, radius: float):
+    """Terms bounding |tail mass - gbar * 2 R^{1-m} / (m - 1)|, or None.
+
+    On |x| > R the profile gives |f|^p = |x|^-m [g(phi) + h1(phi) / x + r(x)]
+    with h1 = p |L|^{p-2} Re(conj(L) L1) / (2 pi)^p and |r| <= rho2 / x^2,
+    from the second-order Taylor bound of |L + eps|^p, |eps| <= eta / |x|.
+    Also phi' >= c and |phi''| <= bend / |x|^3 there.  The terms:
+
+      boundary  one integration by parts of (g - gbar)(phi) |x|^-m, with G
+                the zero-mean antiderivative of g - gbar taken from the DFT
+                of the samples g, leaves the explicit end values
+                R^-m [G(phi(-R)) / phi'(-R) - G(phi(R)) / phi'(R)]; their
+                magnitude is the term.
+      osc_rest  the integral left over holds G, which has zero mean; a
+                second integration by parts (H' = G) bounds it with max|G|
+                and max|H| at O(R^{-m-1}).
+      laurent   the mean of h1 times 1/x cancels between the two tails; its
+                oscillating part is bounded by one integration by parts, with
+                the centred antiderivative G1 <= pi max|h1|.
+      power     the integral of rho2 |x|^{-m-2} over both tails.
+      sampling  the DFT aliasing bounds on gbar and on G(phi(+-R)); they
+                are also folded into max|G|, max|H|.
+
+    None when c = 0, R <= reach, the |.|^p expansion fails (p < 2 and
+    min|L| <= eta / R, e.g. |lead_a| ~ |lead_b| at p = 1) or the aliasing
+    bound is too weak.
+    """
+    c, big_r, n = spec.c, radius, g.size
+    if c <= 1e-12 or not big_r > profile.reach:
+        return None
+    m = p * profile.order
+    la, lb = abs(profile.lead_a), abs(profile.lead_b)
+    lmin, lmax = abs(la - lb), la + lb
+    l1 = abs(profile.next_a) + abs(profile.next_b)
+    kappa = 1.0 / (1.0 - profile.reach / big_r)
+    rest = profile.rest * kappa**3
+    eta = l1 + rest / big_r
+    if p < 2.0:
+        if not eta / big_r < lmin:
+            return None
+        curv = (lmin - eta / big_r) ** (p - 2.0)
+    else:
+        curv = (lmax + eta / big_r) ** (p - 2.0)
+    aliasing = _alias_bounds(la, lb, p, n)
+    if aliasing is None:
+        return None
+    mean_alias, alias = aliasing
+    bend = 2.0 * _phase_drift(spec) * kappa**3
+    k = np.arange(1, n // 2)
+    coef = np.fft.rfft(g)[1:n // 2] / n
+    g_max = 2.0 * float(np.sum(np.abs(coef) / k)) + alias
+    h_max = 2.0 * float(np.sum(np.abs(coef) / (k * k))) + alias
+    phis, dphis = phase_arrays(spec, np.array([-big_r, big_r]))
+    waves = np.exp(1j * np.fmod(phis, TWO_PI)[:, None] * k)
+    ends = 2.0 * (waves @ (coef / (1j * k))).real / dphis
+    decay = big_r**-m
+    h1_max = p * lmax ** (p - 1.0) * l1 / TWO_PI**p
+    rho2 = (p * lmax ** (p - 1.0) * rest + 0.5 * p * max(1.0, p - 1.0) * curv * eta**2) \
+        / TWO_PI**p
+    return {
+        "boundary": abs(ends[0] - ends[1]) * decay,
+        "osc_rest": 2.0 * decay / (c * c * big_r) * (
+            g_max * bend / ((m + 2.0) * big_r)
+            + h_max * m * (2.0 + 2.0 * bend / ((m + 3.0) * c * big_r**2))),
+        "laurent": 2.0 * math.pi * h1_max * decay / big_r * (
+            2.0 / c + bend / ((m + 3.0) * c * c * big_r**2)),
+        "power": 2.0 * rho2 * decay / (big_r * (m + 1.0)),
+        "sampling": 2.0 * decay * (alias / c + mean_alias * big_r / (m - 1.0)),
+    }
+
+
+def _tail_uncertainty(g: np.ndarray, profile: DecayProfile, spec: InnerFunctionSpec,
+                      p: float, radius: float) -> float:
+    """The smaller of the sum of _sharp_tail_terms and the coarse bound.
+
+    The coarse bound is the spread of g over periods of 2 pi / c plus a
+    next-order Laurent bound built from next_scale.  It takes over where the
+    sharp terms do not apply or are larger, which happens as |lead_a|
+    approaches |lead_b| at p < 2 (the curvature of |.|^p and the aliasing
+    of g both grow without bound there).
+    """
+    m = p * profile.order
+    osc = 0.0
+    gamp = float(g.max() - g.min())
+    if spec.c > 1e-12 and gamp > 0.0:
+        osc = 2.0 * gamp * (TWO_PI / spec.c) * radius**-m
+    lead_mag = 1.1 * (abs(profile.lead_a) + abs(profile.lead_b)) / TWO_PI
+    corr = 8.0 * p * lead_mag ** (p - 1.0) * (profile.next_scale / TWO_PI) \
+        * radius**-m / m
+    terms = _sharp_tail_terms(g, profile, spec, p, radius)
+    if terms is None:
+        return osc + corr
+    return min(osc + corr, sum(terms.values()))
 
 
 def _probe_exponent(values_fn, radius: float) -> float:
@@ -201,14 +363,33 @@ def _probe_exponent(values_fn, radius: float) -> float:
     return math.log(v1 / v2) / math.log(x2 / x1)
 
 
+def _mass_panels(spec: InnerFunctionSpec, radius: float) -> np.ndarray:
+    """Geometric panels out to the first radius, two periods of Theta beyond.
+
+    Past the first radius |f|^p is a slowly decaying oscillation of period
+    2 pi / c.  Geometric panels there span hundreds of periods, where the
+    Kronrod and Gauss rules alias alike and their difference can vanish by
+    accident (two such panels at R = 32000 were each off by 1.2e-9 against
+    an estimate of 3e-14), so the annulus starts from panels GK15 resolves.
+    """
+    first = _RADII[0]
+    if radius <= first or spec.c <= 1e-12:
+        return quadrature.two_sided_panels(radius, inner=16.0)
+    count = int(math.ceil((radius - first) * spec.c / (2.0 * TWO_PI)))
+    edges = np.linspace(first, radius, count + 1)
+    right = np.column_stack([edges[:-1], edges[1:]])
+    return np.vstack([-right[::-1, ::-1], quadrature.two_sided_panels(first, inner=16.0), right])
+
+
 def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
             radius: float, keep_panels: bool = False):
     """Certified integral of values_fn = |f|^p over the line.
 
-    Interior by adaptive quadrature on [-radius, radius]; both tails from the
-    decay profile.  Returns (mass, uncertainty, quadrature result), where
-    uncertainty adds the quadrature error estimate, the oscillation remainder
-    of the periodic tail factor, and the next-order Laurent correction.
+    Interior by adaptive quadrature on [-radius, radius]; both tails as
+    gbar * integral of |x|^-m over |x| > radius, gbar the periodic mean of
+    g(theta) = (|A - B e^{i theta}| / 2pi)^p.  Returns (mass, uncertainty,
+    quadrature result), where uncertainty adds the quadrature error estimate
+    and the tail bound of _tail_uncertainty.
     """
     m = p * profile.order
     if m < 1.5:
@@ -216,20 +397,15 @@ def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
         raise LpNormError(
             f"p-th power tail exponent {m:.3g} (measured {measured:.3g}) is too "
             "slow to integrate; combinations need vanishing zeroth moments for p = 1")
-    panels = quadrature.two_sided_panels(radius, inner=16.0)
+    panels = _mass_panels(spec, radius)
     rough = quadrature.integrate_panels(values_fn, panels, abs_tol=math.inf)
     abs_tol = max(1e-13, 1e-10 * abs(float(np.real(rough.value))))
     res = quadrature.integrate_panels(values_fn, panels, abs_tol, keep_panels=keep_panels)
     interior = float(np.real(res.value))
-    gbar, gmax, gamp = _tail_profile_stats(profile, spec, p)
+    g = _tail_samples(profile, spec, p)
+    gbar = float(g.mean())
     tail = 2.0 * gbar * radius ** (1.0 - m) / (m - 1.0)
-    osc = 0.0
-    if spec.c > 1e-12 and gamp > 0.0:
-        osc = 2.0 * gamp * (TWO_PI / spec.c) * radius**-m
-    lead_mag = 1.1 * (abs(profile.lead_a) + abs(profile.lead_b)) / TWO_PI
-    corr = 8.0 * p * lead_mag ** (p - 1.0) * (profile.next_scale / TWO_PI) \
-        * radius**-m / m
-    unc = res.error_bound + osc + corr
+    unc = res.error_bound + _tail_uncertainty(g, profile, spec, p, radius)
     return interior + tail, unc, res
 
 
@@ -358,7 +534,8 @@ def cont_formula_derivative(f: KernelCombination, x: float, radius: float = 800.
     make the whole integrand analytic in the upper half-plane and the
     integral collapse to zero.  The kernel is evaluated in phase form
     -expm1(i(phi(x)-phi(t)))/(2 pi i (x-t)) so the near-diagonal
-    cancellation costs no precision.
+    cancellation costs no precision.  Raises QuadratureError when the
+    quadrature falls short of abs_tol.
     """
     x = float(x)
     spec = f.spec
@@ -374,7 +551,8 @@ def cont_formula_derivative(f: KernelCombination, x: float, radius: float = 800.
         return f(t) * k ** 2
 
     panels = x + quadrature.two_sided_panels(radius, inner=16.0)
-    res = quadrature.integrate_panels(integrand, panels, abs_tol)
+    res = quadrature.integrate_panels(integrand, panels, abs_tol).require_converged(
+        "cont_formula_derivative")
     return complex(2j * math.pi * res.value)
 
 

@@ -158,6 +158,7 @@ def xi_product_integral(a: float, b: float, abs_tol: float = 5e-10) -> float:
     Evaluated by adaptive quadrature on [min(a,b)-R, max(a,b)+R] with
     R = 1900.  Beyond that window both factors are bounded by their distance
     to the nearer shift, so each omitted tail is at most 2/(3 R^3) < 1e-10.
+    Raises QuadratureError when the quadrature falls short of abs_tol.
     """
     a = float(a)
     b = float(b)
@@ -166,7 +167,7 @@ def xi_product_integral(a: float, b: float, abs_tol: float = 5e-10) -> float:
     def f(x):
         return sinc(x - a) ** 2 * sinc(x - b) ** 2
 
-    res = quadrature.integrate_panels(f, panels, abs_tol)
+    res = quadrature.integrate_panels(f, panels, abs_tol).require_converged("xi_product_integral")
     return float(res.value)
 
 
@@ -174,7 +175,8 @@ def xi_power_product_integral(a: float, b: float, m: int, abs_tol: float = 1e-9)
     """Integral of sinc^{2m}(x-a) * sinc^{2m}(x-b) for m >= 2.
 
     The integrand decays like |x|^(-4m), so a radius of 40 keeps each tail
-    below R^(1-4m)/(4m-1) < 1e-11.
+    below R^(1-4m)/(4m-1) < 1e-11.  Raises QuadratureError when the
+    quadrature falls short of abs_tol.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
@@ -186,7 +188,8 @@ def xi_power_product_integral(a: float, b: float, m: int, abs_tol: float = 1e-9)
     def f(x):
         return sinc(x - a) ** k * sinc(x - b) ** k
 
-    res = quadrature.integrate_panels(f, panels, abs_tol)
+    res = quadrature.integrate_panels(f, panels, abs_tol).require_converged(
+        "xi_power_product_integral")
     return float(res.value)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureResult", "integrate", "integrate_panels", "two_sided_panels", "panel_nodes_weights"]
+__all__ = ["QuadratureError", "QuadratureResult", "integrate", "integrate_panels", "two_sided_panels", "panel_nodes_weights"]
 
 # Kronrod-15 abscissae on [-1, 1]; odd entries are the embedded Gauss-7 points.
 _XK = np.array([
@@ -35,12 +35,25 @@ _WG = np.array([
 ])
 
 
+class QuadratureError(ArithmeticError):
+    """Adaptive quadrature stopped before its error estimate met abs_tol."""
+
+
 @dataclass
 class QuadratureResult:
     value: complex
     error_bound: float
     panel_count: int
     panels: np.ndarray | None = None  # final (n, 2) edges when requested
+    converged: bool = True  # error_bound <= abs_tol
+
+    def require_converged(self, what: str) -> "QuadratureResult":
+        """self, or QuadratureError naming `what` when refinement fell short."""
+        if not self.converged:
+            raise QuadratureError(
+                f"{what}: quadrature stopped at error estimate {self.error_bound:.3e} "
+                f"over {self.panel_count} panels, above its tolerance")
+        return self
 
 
 def _gk_apply(f, a: np.ndarray, b: np.ndarray):
@@ -55,7 +68,9 @@ def _gk_apply(f, a: np.ndarray, b: np.ndarray):
 
 def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000, keep_panels: bool = False) -> QuadratureResult:
     """Integrate f over a union of panels, refining until the summed GK error
-    estimate drops below abs_tol or the panel budget is exhausted."""
+    estimate drops below abs_tol or the panel budget is exhausted.  The
+    result's converged flag is False when refinement stopped short of abs_tol
+    (panel budget, round cap or floating-point width)."""
     panels = np.asarray(panels, dtype=float)
     a = panels[:, 0].copy()
     b = panels[:, 1].copy()
@@ -86,11 +101,13 @@ def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000, keep_pa
     value = vals.sum()
     if not np.iscomplexobj(vals):
         value = float(value)
+    error_bound = float(errs.sum())
     return QuadratureResult(
         value=value,
-        error_bound=float(errs.sum()),
+        error_bound=error_bound,
         panel_count=int(a.size),
         panels=np.column_stack([a, b]) if keep_panels else None,
+        converged=error_bound <= abs_tol,
     )
 
 

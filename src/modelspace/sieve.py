@@ -293,7 +293,11 @@ def nyquist_density(set_pieces, c: float) -> float:
 
 
 def empirical_embedding_ratio(f: GridFunction, measure: MeasureSpec, p: float) -> float:
-    """integral of |f|^p against the measure, divided by ‖f‖_p^p."""
+    """integral of |f|^p against the measure, divided by ‖f‖_p^p.
+
+    Raises QuadratureError when a density piece's quadrature falls short of
+    its tolerance.
+    """
     p = float(p)
     if p != f.p:
         raise ValueError(f"grid function certifies p = {f.p}, requested p = {p}")
@@ -310,6 +314,7 @@ def empirical_embedding_ratio(f: GridFunction, measure: MeasureSpec, p: float) -
         res = quadrature.integrate(
             lambda t: np.abs(f.evaluate(t)) ** p, q.left, q.right,
             abs_tol=1e-10 * max(1.0, f.norm ** p),
-            initial=max(8, int((q.right - q.left) * 4)))
+            initial=max(8, int((q.right - q.left) * 4))
+        ).require_converged("empirical_embedding_ratio")
         num += q.height * float(np.real(res.value))
     return num / f.norm ** p

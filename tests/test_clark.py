@@ -283,6 +283,21 @@ def test_solve_nodes_argument_validation(spec_one):
         solve_nodes(blaschke_only, 0.0, 0, 1)
 
 
+def test_solve_nodes_large_window(spec_one):
+    # |phi| reaches 1.9e6 here, where one ulp is 2.3e-10 > RESIDUAL_TOL
+    grid = solve_nodes(spec_one, 0.0, -300000, 300000)
+    assert len(grid) == 600001
+    top = np.spacing(TWO_PI * 300000.0)
+    assert grid.residual_bound <= 4.0 * top
+    vals, _ = phase_arrays(spec_one, grid.nodes)
+    assert np.max(np.abs(vals - TWO_PI * grid.indices)) == grid.residual_bound
+
+
+def test_residual_tolerance_keeps_floor_on_small_windows():
+    assert clark._residual_tolerance(TWO_PI * np.arange(-20860, 20861)) == RESIDUAL_TOL
+    assert clark._residual_tolerance(np.array([2.0 ** 20])) == 4.0 * np.spacing(2.0 ** 20)
+
+
 def test_grid_validation():
     spec = InnerFunctionSpec(tau=0.0, c=1.0, zeros=())
     ok = dict(spec=spec, gamma=0.0, indices=np.arange(2),

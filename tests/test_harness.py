@@ -1,4 +1,5 @@
 """Corpus generation, certified L^p norms and derivative identities."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import oracles
 from modelspace import quadrature
 from modelspace.harness import (
     NORM_REL_TOL,
+    DecayProfile,
     GridFunction,
     KernelCombination,
     LpNormError,
@@ -23,9 +25,11 @@ from modelspace.harness import (
     sup_sample_check,
     to_grid_function,
 )
-from modelspace.harness import _p_mass
-from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate
+from modelspace.harness import (_alias_bounds, _certified_mass, _p_mass, _sharp_tail_terms,
+                                _tail_samples, _tail_uncertainty)
+from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase
 from modelspace.kernel import reproducing_kernel
+from modelspace.quadrature import QuadratureError
 
 TWO_PI = 2.0 * math.pi
 
@@ -400,3 +404,216 @@ def test_hardy_kernel_value():
     assert hardy_kernel(w, x) == pytest.approx((0.5j / math.pi) / (x - np.conj(w)))
     arr = hardy_kernel(w, np.array([0.0, 1.0]))
     assert arr.shape == (2,)
+
+
+def test_combination_accepts_2d_points(spec_two):
+    f = random_model_function(spec_two, 5, seed=23)
+    x = np.linspace(-4.0, 4.0, 24).reshape(4, 6)
+    assert np.array_equal(f(x), f(x.ravel()).reshape(4, 6))
+    assert np.array_equal(f.derivative(x), f.derivative(x.ravel()).reshape(4, 6))
+    z = x + 0.5j
+    assert np.array_equal(f(z), f(z.ravel()).reshape(4, 6))
+
+
+# ------------------------------------------------------ sharp analytic tail
+
+def _random_tail_spec(rng):
+    zeros = tuple(
+        BlaschkeZero(rng.uniform(-6.0, 6.0), rng.uniform(0.2, 2.0), int(rng.integers(1, 3)))
+        for _ in range(int(rng.integers(0, 4))))
+    return InnerFunctionSpec(tau=rng.uniform(0.0, 2.0 * math.pi),
+                             c=rng.uniform(0.5, 2.0), zeros=zeros)
+
+
+def _tail_specs(spec_one, spec_two, spec_pw):
+    from test_clark import _dense_layout
+    rng = np.random.default_rng(2024)
+    return [spec_one, spec_two, spec_pw, _dense_layout()] + [
+        _random_tail_spec(rng) for _ in range(8)]
+
+
+def _profile_and_values(f, kind, p):
+    if kind == "f":
+        return f.decay_profile(), lambda x: np.abs(f(x)) ** p
+    return f.derivative_profile(), lambda x: np.abs(f.derivative(x)) ** p
+
+
+def test_profile_next_terms_and_rest_bound(spec_one, spec_two, spec_pw):
+    # 2 pi x^order f / i = L + L1 / x + E with |E| <= rest / (x^2 (1 - reach/|x|)^3);
+    # checked on the complex value, which pins L1 to within rest / |x|
+    for spec in (spec_one, spec_two, spec_pw):
+        cancelled = random_model_function(spec, 5, seed=41)
+        plain = KernelCombination(spec=spec, anchors=np.array([0.5 + 0.7j, -1.0 + 2.0j]),
+                                  coefficients=np.array([1.0 + 0.5j, -0.3 + 0j]))
+        for f in (cancelled, plain):
+            for kind in ("f", "d"):
+                prof = f.decay_profile() if kind == "f" else f.derivative_profile()
+                fn = f if kind == "f" else f.derivative
+                for x in (-400.0, -60.0, 45.0, 300.0):
+                    theta = evaluate(spec, x)
+                    lead = prof.lead_a - prof.lead_b * theta
+                    nxt = prof.next_a - prof.next_b * theta
+                    got = TWO_PI * x ** prof.order * fn(x) / 1j
+                    rest = prof.rest / (x * x * (1.0 - prof.reach / abs(x)) ** 3)
+                    assert abs(got - (lead + nxt / x)) <= rest + 1e-12 * abs(lead)
+
+
+def test_tail_bound_honest_against_far_radius(spec_one, spec_two, spec_pw):
+    # the uncertainty at R = 2000 must cover the change to R = 32000
+    for spec in _tail_specs(spec_one, spec_two, spec_pw):
+        f = random_model_function(spec, 5, seed=7)
+        for kind in ("f", "d"):
+            for p in (1.0, 2.0, 4.0):
+                prof, values = _profile_and_values(f, kind, p)
+                m1, u1, _ = _p_mass(values, prof, spec, p, 2000.0)
+                m2, u2, _ = _p_mass(values, prof, spec, p, 32000.0)
+                assert abs(m1 - m2) <= u1 + u2, (spec, kind, p)
+                assert u1 <= NORM_REL_TOL * m1
+
+
+def test_cancelling_p1_corpus_certifies_at_first_radius(spec_one, spec_two, spec_pw):
+    for si, spec in enumerate((spec_one, spec_two, spec_pw)):
+        for i in range(8):
+            f = random_model_function(spec, 5, seed=10000 * (si + 1) + i)
+            assert f.is_cancelling()
+            for kind in ("f", "d"):
+                prof, values = _profile_and_values(f, kind, 1.0)
+                mass, unc, _, radius = _certified_mass(values, prof, spec, 1.0)
+                assert radius == 2000.0
+                assert unc <= NORM_REL_TOL * mass
+
+
+def _first_radius_mass_formula(values, prof, spec, p, radius=2000.0):
+    """The mass formula before the sharp tail bound: interior on the
+    geometric panels plus gbar * 2 R^{1-m} / (m - 1)."""
+    m = p * prof.order
+    panels = quadrature.two_sided_panels(radius, inner=16.0)
+    rough = quadrature.integrate_panels(values, panels, abs_tol=math.inf)
+    abs_tol = max(1e-13, 1e-10 * abs(float(np.real(rough.value))))
+    interior = float(np.real(quadrature.integrate_panels(values, panels, abs_tol).value))
+    theta = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
+    g = (np.abs(prof.lead_a - prof.lead_b * np.exp(1j * theta)) / TWO_PI) ** p
+    return interior + 2.0 * float(g.mean()) * radius ** (1.0 - m) / (m - 1.0)
+
+
+def test_p2_and_p4_masses_bit_identical_to_old_formula(spec_one, spec_two, spec_pw):
+    for spec in (spec_one, spec_two, spec_pw):
+        f = random_model_function(spec, 5, seed=19)
+        for kind in ("f", "d"):
+            for p in (2.0, 4.0):
+                prof, values = _profile_and_values(f, kind, p)
+                mass, _, _, radius = _certified_mass(values, prof, spec, p)
+                assert radius == 2000.0
+                assert mass == _first_radius_mass_formula(values, prof, spec, p)
+
+
+@pytest.mark.parametrize("name", ["spec_pw", "spec_one"])
+def test_sharp_tail_terms_match_closed_form(name, request):
+    # p = 2: g - gbar = -2 Re(gamma e^{i theta}) / (2 pi)^2 with gamma = conj(A) B
+    # is one harmonic, so G = -2 Im(gamma e^{i theta}) / (2 pi)^2 exactly and
+    # max|G| = max|H| = 2 |gamma| / (2 pi)^2; no aliasing at an even p.
+    spec = request.getfixturevalue(name)
+    f = random_model_function(spec, 5, seed=3)
+    prof = f.decay_profile()
+    p, radius, c = 2.0, 2000.0, spec.c
+    m = p * prof.order
+    terms = _sharp_tail_terms(_tail_samples(prof, spec, p), prof, spec, p, radius)
+    gamma = np.conj(prof.lead_a) * prof.lead_b
+    scale = TWO_PI ** -p
+    kappa = 1.0 / (1.0 - prof.reach / radius)
+    bend = 4.0 * sum(z.mult * z.im for z in spec.zeros) * kappa ** 3
+
+    def end(x):
+        ph = phase(spec, x)
+        return -2.0 * (gamma * np.exp(1j * ph.value)).imag * scale / ph.derivative
+
+    decay = radius ** -m
+    # the terms are about 1e-14, so every comparison is relative only
+    assert terms["boundary"] == pytest.approx(
+        abs(end(-radius) - end(radius)) * decay, rel=1e-9, abs=0.0)
+    amp = 2.0 * abs(gamma) * scale
+    assert terms["osc_rest"] == pytest.approx(
+        2.0 * decay / (c * c * radius) * amp * (
+            bend / ((m + 2.0) * radius)
+            + m * (2.0 + 2.0 * bend / ((m + 3.0) * c * radius ** 2))), rel=1e-9, abs=0.0)
+    la, lb = abs(prof.lead_a), abs(prof.lead_b)
+    l1 = abs(prof.next_a) + abs(prof.next_b)
+    rest = prof.rest * kappa ** 3
+    eta = l1 + rest / radius
+    h1_max = 2.0 * (la + lb) * l1 * scale
+    assert terms["laurent"] == pytest.approx(
+        2.0 * math.pi * h1_max * decay / radius * (
+            2.0 / c + bend / ((m + 3.0) * c * c * radius ** 2)), rel=1e-12, abs=0.0)
+    rho2 = (2.0 * (la + lb) * rest + eta ** 2) * scale
+    assert terms["power"] == pytest.approx(
+        2.0 * rho2 * decay / (radius * (m + 1.0)), rel=1e-12, abs=0.0)
+    assert terms["sampling"] == 0.0
+
+
+def test_alias_bounds_cover_coarse_sampling():
+    # the mean and G from n samples of g against a 2^16-sample reference:
+    # 2 sum_{k<n/2} |c_k - ghat_k| / k + 2 sum_{k>=n/2} |ghat_k| / k <= alias
+    def coefficients(la, lb, p, n):
+        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        return np.fft.rfft((np.abs(la - lb * np.exp(1j * theta)) / TWO_PI) ** p) / n
+
+    for la, lb, p in ((1.0, 0.8, 1.0), (0.3, 1.0, 1.0), (1.0, 0.95, 1.0), (1.0, 0.6, 1.5),
+                      (1.0, 0.7, 3.0)):
+        exact = coefficients(la, lb, p, 1 << 16)
+        for n in (16, 32, 64, 128):
+            bounds = _alias_bounds(la, lb, p, n)
+            if bounds is None:
+                continue
+            mean_alias, alias = bounds
+            coarse = coefficients(la, lb, p, n)
+            half = n // 2
+            miss = np.sum(np.abs(coarse[1:half] - exact[1:half]) / np.arange(1, half)) \
+                + np.sum(np.abs(exact[half:]) / np.arange(half, exact.size))
+            # the bounds are for exact arithmetic; the DFTs round at eps of max g
+            rounding = 1e-14 * ((la + lb) / TWO_PI) ** p
+            assert 2.0 * miss <= alias + rounding
+            assert abs(coarse[0] - exact[0]) <= mean_alias + rounding
+    assert _alias_bounds(1.0, 0.0, 1.0, 2048) == (0.0, 0.0)
+    assert _alias_bounds(1.0, 0.7, 4.0, 2048) == (0.0, 0.0)
+    assert _alias_bounds(1.0, 1.0, 1.0, 2048) is None
+
+
+def test_sharp_tail_falls_back_where_expansion_fails(spec_one):
+    # |lead_a| = |lead_b|: |A - B e^{i theta}| touches 0, so |.|^1 has no
+    # expansion there; the coarse bound takes over
+    prof = DecayProfile(2, 1.0 + 0j, 1.0 + 0j, 3.0, 0.5 + 0j, 0.5j, 10.0, 4.0)
+    g = _tail_samples(prof, spec_one, 1.0)
+    assert _sharp_tail_terms(g, prof, spec_one, 1.0, 2000.0) is None
+    # spread of g over periods of 2 pi / c, plus 8 p |lead|^{p-1} next_scale / (2 pi) R^-m / m
+    coarse = (2.0 * float(g.max() - g.min()) * TWO_PI / spec_one.c * 2000.0 ** -2.0
+              + 8.0 * (3.0 / TWO_PI) * 2000.0 ** -2.0 / 2.0)
+    assert _tail_uncertainty(g, prof, spec_one, 1.0, 2000.0) == pytest.approx(
+        coarse, rel=1e-12, abs=0.0)
+    # |lead_a| / |lead_b| = 1.001: the expansion applies, but its aliasing
+    # and curvature terms exceed the coarse bound, which is used instead
+    near = DecayProfile(2, 1.0 + 0j, 0.999 + 0j, 3.0, 0.5 + 0j, 0.5j, 10.0, 4.0)
+    g = _tail_samples(near, spec_one, 1.0)
+    coarse = (2.0 * float(g.max() - g.min()) * TWO_PI / spec_one.c * 2000.0 ** -2.0
+              + 8.0 * (3.0 / TWO_PI) * 2000.0 ** -2.0 / 2.0)
+    assert sum(_sharp_tail_terms(g, near, spec_one, 1.0, 2000.0).values()) > coarse
+    assert _tail_uncertainty(g, near, spec_one, 1.0, 2000.0) == pytest.approx(
+        coarse, rel=1e-12, abs=0.0)
+    # inside the anchors' reach, and with c = 0, the expansion is not used either
+    far = DecayProfile(2, 1.0 + 0j, 0.2 + 0j, 3.0, 0.5 + 0j, 0.5j, 10.0, 4000.0)
+    assert _sharp_tail_terms(_tail_samples(far, spec_one, 1.0), far, spec_one, 1.0,
+                             2000.0) is None
+    frozen = InnerFunctionSpec(tau=0.3, c=0.0, zeros=(BlaschkeZero(0.0, 1.0),))
+    assert _sharp_tail_terms(_tail_samples(far, frozen, 1.0), far, frozen, 1.0,
+                             8000.0) is None
+
+
+def test_quadrature_failure_raises_in_callers(spec_one, monkeypatch):
+    f = random_model_function(spec_one, 5, seed=11)
+    real = quadrature.integrate_panels
+
+    def short(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(quadrature, "integrate_panels", short)
+    with pytest.raises(QuadratureError, match="cont_formula_derivative"):
+        cont_formula_derivative(f, 0.3)

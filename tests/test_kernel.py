@@ -1,4 +1,5 @@
 """Reproducing kernels, sinc smoothing kernels and product-integral bounds."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from modelspace import quadrature
 from modelspace.inner import BlaschkeZero, InnerFunctionSpec, phase_arrays
 from modelspace.kernel import (
     DegenerateDiagonalError,
@@ -20,6 +22,7 @@ from modelspace.kernel import (
     xi_power_product_integral,
     xi_product_integral,
 )
+from modelspace.quadrature import QuadratureError
 
 reals = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 TWO_PI = 2.0 * math.pi
@@ -272,3 +275,16 @@ def test_higher_power_bound_table():
         higher_power_bound(4, 1.0)
     with pytest.raises(ValueError):
         higher_power_bound("2", 1.0)
+
+
+def test_product_integrals_raise_when_quadrature_falls_short(monkeypatch):
+    real = quadrature.integrate_panels
+
+    def short(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(quadrature, "integrate_panels", short)
+    with pytest.raises(QuadratureError, match="xi_product_integral"):
+        xi_product_integral(0.0, 1.5)
+    with pytest.raises(QuadratureError, match="xi_power_product_integral"):
+        xi_power_product_integral(0.0, 1.5, 2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from modelspace.quadrature import (
+    QuadratureError,
     integrate,
     integrate_panels,
     panel_nodes_weights,
@@ -118,3 +119,17 @@ def test_keep_panels_round_trip():
     nodes, weights = panel_nodes_weights(res.panels)
     again = float((weights * np.exp(-np.abs(nodes))).sum())
     assert again == pytest.approx(res.value, rel=1e-12)
+
+
+def test_integrate_panels_reports_nonconvergence():
+    # an inverse square-root singularity needs far more than 32 panels
+    f = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.pi))
+    starved = integrate_panels(f, np.array([[0.0, 1.0]]), abs_tol=1e-10, max_panels=32)
+    assert not starved.converged
+    assert starved.error_bound > 1e-10
+    with pytest.raises(QuadratureError, match="singular"):
+        starved.require_converged("singular")
+    smooth = integrate_panels(lambda x: np.exp(-x * x), np.array([[-8.0, 8.0]]), abs_tol=1e-12)
+    assert smooth.converged
+    assert smooth.require_converged("smooth") is smooth
+    assert integrate_panels(f, np.array([[0.0, 1.0]]), abs_tol=math.inf).converged

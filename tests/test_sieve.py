@@ -1,12 +1,15 @@
 """Window densities (fixed-length and phase-adapted), bounds, embedding ratios."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from modelspace import quadrature
 from modelspace.harness import GridFunction, random_model_function, to_grid_function
 from modelspace.inner import InnerFunctionSpec, BlaschkeZero, phase_arrays
 from modelspace.kernel import sinc
+from modelspace.quadrature import QuadratureError
 from modelspace.sieve import (
     DensityPiece,
     DensityReport,
@@ -314,3 +317,16 @@ def test_embedding_ratio_argument_checks(spec_one):
 def test_embedding_ratio_empty_measure_is_zero(spec_one):
     f = to_grid_function(random_model_function(spec_one, 4, seed=2), 2.0)
     assert empirical_embedding_ratio(f, MeasureSpec(), 2.0) == 0.0
+
+
+def test_embedding_ratio_raises_when_quadrature_falls_short(spec_two, monkeypatch):
+    f = to_grid_function(random_model_function(spec_two, 5, seed=4), 2.0)
+    mu = MeasureSpec(pieces=(DensityPiece(-60.0, 60.0, 1.0),))
+    real = quadrature.integrate_panels
+
+    def short(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(quadrature, "integrate_panels", short)
+    with pytest.raises(QuadratureError, match="empirical_embedding_ratio"):
+        empirical_embedding_ratio(f, mu, 2.0)
