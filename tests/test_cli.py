@@ -1,4 +1,5 @@
 """End-to-end runs of the JSON-config command driver."""
+import hashlib
 import json
 import math
 import os
@@ -297,14 +298,27 @@ def test_certify_sieve_deterministic(tmp_path):
         assert ta == tb
 
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+HERE = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(os.path.dirname(HERE), "README.md")
+# sha256 of every report of the README examples, generated_at line removed,
+# keyed "<command>/<file name>"
+README_DIGESTS = os.path.join(HERE, "readme_report_digests.json")
 
 
 def test_readme_examples_run(tmp_path):
     with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.S)
     assert len(blocks) == 7  # one example per command
+    digests = {}
     for i, block in enumerate(blocks):
         out = tmp_path / f"example{i}"
         out.mkdir()
-        assert run_cli(out, json.loads(block)) == 0, block
+        config = json.loads(block)
+        assert run_cli(out, config) == 0, block
+        for report in sorted(out.iterdir()):
+            if report.name != "cfg.json":
+                text = strip_timestamps(report.read_text(encoding="utf-8"))
+                digests[f"{config['command']}/{report.name}"] = \
+                    hashlib.sha256(text.encode()).hexdigest()
+    with open(README_DIGESTS, encoding="utf-8") as fh:
+        assert digests == json.load(fh)
