@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import TWO_PI, InnerFunctionSpec, derivative_sup_norm, phase_arrays
+from .inner import TWO_PI, InnerFunctionSpec, derivative_sup_norm, phase_arrays, shaped_like
 
 # Certification threshold on |phi(x_n) - gamma - 2 pi n| for emitted grids;
 # the floor of _residual_tolerance.
@@ -93,9 +93,7 @@ def invert_phase(spec: InnerFunctionSpec, target):
     x = np.empty_like(t)
     for start in range(0, t.size, _CHUNK):
         x[start:start + _CHUNK] = _newton_bracketed(spec, t[start:start + _CHUNK])
-    if np.ndim(target) == 0:
-        return float(x[0])
-    return x.reshape(np.shape(target))
+    return shaped_like(x, target)
 
 
 def _newton_bracketed(spec: InnerFunctionSpec, t: np.ndarray) -> np.ndarray:
@@ -173,16 +171,14 @@ def solve_nodes(spec: InnerFunctionSpec, gamma: float, n_min: int, n_max: int) -
                         weights=derivs / TWO_PI, residual_bound=resid)
 
 
-def node_spacing_bounds(grid: SamplingGrid, spec: InnerFunctionSpec | None = None):
+def node_spacing_bounds(grid: SamplingGrid):
     """(min, max) consecutive node spacing; min is at least 2pi/sup phi'."""
-    if spec is None:
-        spec = grid.spec
     if len(grid) < 2:
         raise ValueError("spacing bounds need at least two nodes")
     gaps = np.diff(grid.nodes)
     lo = float(gaps.min())
     hi = float(gaps.max())
-    floor = TWO_PI / derivative_sup_norm(spec)
+    floor = TWO_PI / derivative_sup_norm(grid.spec)
     if lo < floor - 1e-12:
         raise RuntimeError(f"spacing {lo} violates floor {floor}")
     return lo, hi

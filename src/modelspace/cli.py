@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import clark, harness, reconstruct, sieve
-from .inner import InnerFunctionSpec, enlarge, from_dict
+from .inner import InnerFunctionSpec, _require_int, _require_number, enlarge, from_dict
 from .kernel import SincKernelSpec, higher_power_bound, sinc, xi_product_integral, \
     xi_power_product_integral
 
@@ -67,38 +67,35 @@ def _as_params(config: dict) -> dict:
     return params
 
 
-def _num(params: dict, key: str, default=None):
+def _param(params: dict, key: str, default, check):
+    """check(params[key], "params.<key>"), or default when the key is absent
+    (required when default is None); check's ValueError becomes ConfigError."""
     if key not in params:
         if default is None:
             raise ConfigError(f"params.{key}: required")
         return default
-    val = params[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"params.{key}: expected a number, got {val!r}")
-    return float(val)
+    try:
+        return check(params[key], f"params.{key}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _number_list(val, where: str) -> list:
+    if not isinstance(val, list) or not val:
+        raise ValueError(f"{where}: expected a nonempty number list, got {val!r}")
+    return [_require_number(v, f"{where}[{i}]") for i, v in enumerate(val)]
+
+
+def _num(params: dict, key: str, default=None):
+    return _param(params, key, default, _require_number)
 
 
 def _int(params: dict, key: str, default=None):
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"params.{key}: required")
-        return default
-    val = params[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"params.{key}: expected an integer, got {val!r}")
-    return val
+    return _param(params, key, default, _require_int)
 
 
 def _num_list(params: dict, key: str, default=None):
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"params.{key}: required")
-        return list(default)
-    val = params[key]
-    if not isinstance(val, list) or not val or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in val):
-        raise ConfigError(f"params.{key}: expected a nonempty number list, got {val!r}")
-    return [float(v) for v in val]
+    return _param(params, key, default, _number_list)
 
 
 def _inner_spec(config: dict) -> InnerFunctionSpec:
@@ -387,13 +384,13 @@ def main(argv=None) -> int:
         description="Sampling-grid, reconstruction and density-certificate studies")
     parser.add_argument("--config", required=True, help="path to a JSON study config")
     parser.add_argument("--out", default=".", help="directory for report files")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker hint, 0 = auto (operations are vectorized; "
-                             "accepted for interface stability)")
-    args = parser.parse_args(argv)
     try:
-        if args.threads < 0:
-            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage message; its exit code 2 would read
+        # as a violation, so usage errors exit 1 and --help still exits 0
+        return 0 if exc.code == 0 else 1
+    try:
         config = _load_json(args.config)
         if not isinstance(config, dict):
             raise ConfigError("config root must be an object")

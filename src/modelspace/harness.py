@@ -15,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
 from .inner import (TWO_PI, InnerFunctionSpec, derivative_sup_norm, evaluate, phase,
-                    phase_arrays, phase_derivative, to_dict)
+                    phase_arrays, phase_derivative, shaped_like, to_dict)
 
 # Relative certification target for p-th power mass (interior + analytic tail).
 NORM_REL_TOL = 1e-6
@@ -33,10 +33,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 __all__ = ["SplitMix64", "LpNormError", "DecayProfile", "KernelCombination",
-           "GridFunction", "random_model_function", "lp_norm", "derivative",
-           "derivative_lp_norm", "bernstein_check", "sup_sample_check",
-           "cont_formula_derivative", "to_grid_function", "hardy_kernel",
-           "spec_hash", "corpus_manifest"]
+           "GridFunction", "random_model_function", "lp_norm", "derivative_lp_norm",
+           "bernstein_check", "sup_sample_check", "cont_formula_derivative",
+           "to_grid_function", "spec_hash", "corpus_manifest"]
 
 
 class LpNormError(ArithmeticError):
@@ -132,9 +131,7 @@ class KernelCombination:
         num = 1.0 - self._qbar[:, None] * theta[None, :]
         den = zz[None, :] - self._wbar[:, None]
         out = (0.5j / math.pi) * (self.coefficients[None, :] @ (num / den))[0]
-        if np.ndim(z) == 0:
-            return complex(out[0])
-        return out.reshape(np.shape(z))
+        return shaped_like(out, z)
 
     def derivative(self, x):
         """Exact derivative on the real line via Theta' = i phi' Theta, at
@@ -147,9 +144,7 @@ class KernelCombination:
         num = 1.0 - self._qbar[:, None] * theta[None, :]
         terms = (-self._qbar[:, None] * dtheta[None, :] * den - num) / den**2
         out = (0.5j / math.pi) * (self.coefficients[None, :] @ terms)[0]
-        if np.ndim(x) == 0:
-            return complex(out[0])
-        return out.reshape(np.shape(x))
+        return shaped_like(out, x)
 
     def _moments(self, k_max: int = 3):
         """Moments s_k = sum alpha wbar^k and t_k = sum alpha qbar wbar^k, and
@@ -208,16 +203,6 @@ class KernelCombination:
         rest = c * v[2] + self._drift * v[0] + 2.0 * u[1]
         return DecayProfile(1, 0.0, 1j * c * t[0], float(extra), -s[0],
                             1j * c * t[1] - t[0], float(rest), self._reach)
-
-
-def hardy_kernel(w: complex, x):
-    """Unprojected half-plane kernel (i/2pi)/(x - conj(w)); test probe only."""
-    ww = complex(w)
-    xs = np.asarray(x, dtype=complex)
-    out = (0.5j / math.pi) / (xs - np.conj(ww))
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
 
 
 def _phase_drift(spec: InnerFunctionSpec) -> float:
@@ -382,7 +367,7 @@ def _mass_panels(spec: InnerFunctionSpec, radius: float) -> np.ndarray:
 
 
 def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
-            radius: float, keep_panels: bool = False):
+            radius: float):
     """Certified integral of values_fn = |f|^p over the line.
 
     Interior by adaptive quadrature on [-radius, radius]; both tails as
@@ -400,7 +385,7 @@ def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
     panels = _mass_panels(spec, radius)
     rough = quadrature.integrate_panels(values_fn, panels, abs_tol=math.inf)
     abs_tol = max(1e-13, 1e-10 * abs(float(np.real(rough.value))))
-    res = quadrature.integrate_panels(values_fn, panels, abs_tol, keep_panels=keep_panels)
+    res = quadrature.integrate_panels(values_fn, panels, abs_tol)
     interior = float(np.real(res.value))
     g = _tail_samples(profile, spec, p)
     gbar = float(g.mean())
@@ -412,10 +397,10 @@ def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
 _RADII = (2000.0, 8000.0, 32000.0)
 
 
-def _certified_mass(values_fn, profile, spec, p, keep_panels=False):
+def _certified_mass(values_fn, profile, spec, p):
     last = None
     for radius in _RADII:
-        mass, unc, res = _p_mass(values_fn, profile, spec, p, radius, keep_panels)
+        mass, unc, res = _p_mass(values_fn, profile, spec, p, radius)
         if unc <= NORM_REL_TOL * mass:
             return mass, unc, res, radius
         last = (mass, unc)
@@ -424,35 +409,30 @@ def _certified_mass(values_fn, profile, spec, p, keep_panels=False):
         f"{last[0]:.3e} at radius {_RADII[-1]:.0f}")
 
 
-def lp_norm(f: KernelCombination, p: float) -> float:
-    """Certified L^p norm of the combination over the real line."""
+def _certified_norm(f: KernelCombination, p: float, derivative: bool):
+    """(norm, uncertainty): the certified L^p norm of f, or of f' when
+    derivative is set, and the bound on its p-th power mass left out."""
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    profile = f.decay_profile()
+    profile = f.derivative_profile() if derivative else f.decay_profile()
+    fn = f.derivative if derivative else f
 
     def values(x):
-        return np.abs(f(x)) ** p
+        return np.abs(fn(x)) ** p
 
-    mass, _, _, _ = _certified_mass(values, profile, f.spec, p)
-    return mass ** (1.0 / p)
+    mass, unc, _, _ = _certified_mass(values, profile, f.spec, p)
+    return mass ** (1.0 / p), unc
 
 
-def derivative(f: KernelCombination, x):
-    return f.derivative(x)
+def lp_norm(f: KernelCombination, p: float) -> float:
+    """Certified L^p norm of the combination over the real line."""
+    return _certified_norm(f, p, derivative=False)[0]
 
 
 def derivative_lp_norm(f: KernelCombination, p: float) -> float:
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    profile = f.derivative_profile()
-
-    def values(x):
-        return np.abs(f.derivative(x)) ** p
-
-    mass, _, _, _ = _certified_mass(values, profile, f.spec, p)
-    return mass ** (1.0 / p)
+    """Certified L^p norm of the combination's derivative over the real line."""
+    return _certified_norm(f, p, derivative=True)[0]
 
 
 def bernstein_check(f: KernelCombination, p: float):
@@ -523,8 +503,7 @@ def sup_sample_check(f: KernelCombination, delta: float, p: float):
     return left, right
 
 
-def cont_formula_derivative(f: KernelCombination, x: float, radius: float = 800.0,
-                            abs_tol: float = 1e-8) -> complex:
+def cont_formula_derivative(f: KernelCombination, x: float) -> complex:
     """Derivative via the boundary-integral identity
     f'(x) = 2 pi i * integral of f(t) k_t(x)^2 dt over the line;
     kept as a cross-check of the analytic route.
@@ -534,8 +513,9 @@ def cont_formula_derivative(f: KernelCombination, x: float, radius: float = 800.
     make the whole integrand analytic in the upper half-plane and the
     integral collapse to zero.  The kernel is evaluated in phase form
     -expm1(i(phi(x)-phi(t)))/(2 pi i (x-t)) so the near-diagonal
-    cancellation costs no precision.  Raises QuadratureError when the
-    quadrature falls short of abs_tol.
+    cancellation costs no precision.  The integral runs over
+    [x - 800, x + 800] to abs_tol 1e-8; raises QuadratureError when the
+    quadrature falls short of it.
     """
     x = float(x)
     spec = f.spec
@@ -550,62 +530,40 @@ def cont_formula_derivative(f: KernelCombination, x: float, radius: float = 800.
         k = np.where(near, px.derivative / TWO_PI, k)
         return f(t) * k ** 2
 
-    panels = x + quadrature.two_sided_panels(radius, inner=16.0)
-    res = quadrature.integrate_panels(integrand, panels, abs_tol).require_converged(
+    panels = x + quadrature.two_sided_panels(800.0, inner=16.0)
+    res = quadrature.integrate_panels(integrand, panels, 1e-8).require_converged(
         "cont_formula_derivative")
     return complex(2j * math.pi * res.value)
 
 
 @dataclass(eq=False)
 class GridFunction:
-    """Sampled |.|^p-certified function on a quadrature grid.
+    """A function with its certified L^p norm.
 
-    nodes/weights reproduce the interior integral of |f|^p as a dot product;
     tail_bound is the certified bound on mass unaccounted for by
     norm**p (quadrature error + tail estimate uncertainty).  origin, when
-    present, is the generating callable for off-grid evaluation.
+    present, is the generating callable that evaluate calls.
     """
 
-    domain: tuple
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
     p: float
     norm: float
     tail_bound: float
     origin: KernelCombination | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
-        if not (self.nodes.size == self.weights.size == self.values.size):
-            raise ValueError("nodes, weights, values must have equal length")
         if not self.norm >= 0.0:
             raise ValueError("norm must be nonnegative")
 
     def evaluate(self, x):
         if self.origin is None:
-            raise ValueError("grid function has no attached generator for off-grid points")
+            raise ValueError("grid function has no attached generator for evaluation")
         return self.origin(x)
 
 
-def to_grid_function(f: KernelCombination, p: float, meta: dict | None = None) -> GridFunction:
-    """Freeze a combination into a GridFunction with certified L^p norm."""
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    profile = f.decay_profile()
-
-    def values_fn(x):
-        return np.abs(f(x)) ** p
-
-    mass, unc, res, radius = _certified_mass(values_fn, profile, f.spec, p, keep_panels=True)
-    nodes, weights = quadrature.panel_nodes_weights(res.panels)
-    return GridFunction(domain=(-radius, radius), nodes=nodes, weights=weights,
-                        values=f(nodes), p=p, norm=mass ** (1.0 / p),
-                        tail_bound=unc, origin=f, meta=dict(meta or {}))
+def to_grid_function(f: KernelCombination, p: float) -> GridFunction:
+    """Attach its certified L^p norm to a combination."""
+    norm, unc = _certified_norm(f, p, derivative=False)
+    return GridFunction(p=float(p), norm=norm, tail_bound=unc, origin=f)
 
 
 def spec_hash(spec: InnerFunctionSpec) -> str:

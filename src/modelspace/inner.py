@@ -48,6 +48,13 @@ TWO_PI = 2.0 * math.pi
 _SUP_NORM_CACHE_SIZE = 64
 
 
+def shaped_like(out, x):
+    """out as a Python float or complex when x is a scalar, else in x's shape."""
+    if np.ndim(x) == 0:
+        return np.asarray(out).item()
+    return np.reshape(out, np.shape(x))
+
+
 @dataclass(frozen=True)
 class BlaschkeZero:
     """A single zero u + i v in the open upper half-plane, with multiplicity."""
@@ -124,9 +131,7 @@ def evaluate(spec: InnerFunctionSpec, z):
         # a single element differently from out * factor.
         np.multiply(out, num if zero.mult == 1 else num ** zero.mult, out=den)
         out, den = den, out
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    return shaped_like(out, z)
 
 
 def phase_arrays(spec: InnerFunctionSpec, x):
@@ -199,19 +204,23 @@ def derivative_sup_norm(spec: InnerFunctionSpec) -> float:
 
     Without zeros the derivative is constant c.  With zeros, every local
     maximum of phi' is a sign change of phi'' and the zeros' imaginary parts
-    set the smallest feature width, so a grid of width min(v)/4 spanning all
-    zero locations (widened by 10 max(v)) brackets every critical point.
-    Brackets are refined by bisection to width 1e-12, and the tail limit c is
-    included for completeness.
+    set the smallest feature width, so a grid of step min(v)/4 brackets every
+    critical point.  Each term 2 m v / ((x - u)^2 + v^2) is convex for
+    |x - u| > v / sqrt(3), so phi' has no local maximum outside the windows
+    [u_k - 10 max(v), u_k + 10 max(v)]: the grid covers each cluster of
+    overlapping windows and skips the gaps between clusters.  Brackets are
+    refined by bisection to width 1e-12, and the tail limit c is included
+    for completeness.
     """
     if not spec.zeros:
         return spec.c
-    res = [z.re for z in spec.zeros]
+    res = sorted(z.re for z in spec.zeros)
     ims = [z.im for z in spec.zeros]
-    lo = min(res) - 10.0 * max(ims)
-    hi = max(res) + 10.0 * max(ims)
+    pad = 10.0 * max(ims)
     step = min(ims) / 4.0
-    grid = np.arange(lo, hi + step, step)
+    cuts = [i for i in range(1, len(res)) if res[i] - pad > res[i - 1] + pad]
+    grid = np.concatenate([np.arange(res[first] - pad, res[last - 1] + pad + step, step)
+                           for first, last in zip([0] + cuts, cuts + [len(res)])])
     g = _phase_second_derivative(spec, grid)
     candidates = [grid]
     sign_change = (g[:-1] == 0.0) | ((g[:-1] > 0.0) != (g[1:] > 0.0))
@@ -267,6 +276,12 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
+def _require_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def from_dict(data: dict, where: str = "inner") -> InnerFunctionSpec:
     """Build a spec from the JSON-dict form, with field-path diagnostics."""
     if not isinstance(data, dict):
@@ -289,9 +304,7 @@ def from_dict(data: dict, where: str = "inner") -> InnerFunctionSpec:
             raise ValueError(f"{zw}: unknown fields {sorted(unknown)}")
         re = _require_number(zd.get("re", 0.0), f"{zw}.re")
         im = _require_number(zd.get("im", None), f"{zw}.im")
-        mult = zd.get("mult", 1)
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise ValueError(f"{zw}.mult: expected an integer, got {mult!r}")
+        mult = _require_int(zd.get("mult", 1), f"{zw}.mult")
         try:
             zeros.append(BlaschkeZero(re=re, im=im, mult=mult))
         except ValueError as exc:

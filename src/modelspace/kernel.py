@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .inner import TWO_PI, InnerFunctionSpec, evaluate, phase_derivative
+from .inner import TWO_PI, InnerFunctionSpec, evaluate, phase_derivative, shaped_like
 
 __all__ = [
     "DegenerateDiagonalError",
@@ -55,9 +55,7 @@ def sinc(t):
         tiny = arr[small]
         s2 = tiny * tiny
         out[small] = 1.0 - s2 / 6.0 + s2 * s2 / 120.0
-    if np.ndim(t) == 0:
-        return float(out[0])
-    return out
+    return shaped_like(out, t)
 
 
 # Canonical smoothing profile: |xi(t)| <= min(1, 1/|t|) everywhere.
@@ -115,18 +113,14 @@ def reproducing_kernel(spec: InnerFunctionSpec, z, w):
     num = 1.0 - qz * evaluate(spec, ww)
     den = ww - np.conj(zz)
     out = (0.5j / math.pi) * num / den
-    if np.ndim(w) == 0:
-        return complex(out)
-    return out
+    return shaped_like(out, w)
 
 
 def kernel_norm_sq(spec: InnerFunctionSpec, x):
     """Squared norm of the kernel anchored at real x: phase derivative / 2pi."""
     arr = np.asarray(x, dtype=float)
     out = phase_derivative(spec, arr) / TWO_PI
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return shaped_like(out, x)
 
 
 def pw_oversample_kernel(kspec: SincKernelSpec, t):
@@ -140,9 +134,7 @@ def pw_oversample_kernel(kspec: SincKernelSpec, t):
     arr = np.asarray(t, dtype=float)
     edge = kspec.c + kspec.power * kspec.a
     out = (edge / kspec.b) * sinc(kspec.a * arr) ** kspec.power * sinc(edge * arr)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return shaped_like(out, t)
 
 
 def _shifted_product_panels(a: float, b: float, radius: float, inner_pad: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadratureResult", "integrate", "integrate_panels", "two_sided_panels", "panel_nodes_weights"]
+__all__ = ["QuadratureError", "QuadratureResult", "integrate", "integrate_panels", "two_sided_panels"]
 
 # Kronrod-15 abscissae on [-1, 1]; odd entries are the embedded Gauss-7 points.
 _XK = np.array([
@@ -44,7 +44,6 @@ class QuadratureResult:
     value: complex
     error_bound: float
     panel_count: int
-    panels: np.ndarray | None = None  # final (n, 2) edges when requested
     converged: bool = True  # error_bound <= abs_tol
 
     def require_converged(self, what: str) -> "QuadratureResult":
@@ -66,7 +65,7 @@ def _gk_apply(f, a: np.ndarray, b: np.ndarray):
     return ik, np.abs(ik - ig)
 
 
-def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000, keep_panels: bool = False) -> QuadratureResult:
+def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000) -> QuadratureResult:
     """Integrate f over a union of panels, refining until the summed GK error
     estimate drops below abs_tol or the panel budget is exhausted.  The
     result's converged flag is False when refinement stopped short of abs_tol
@@ -106,13 +105,12 @@ def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000, keep_pa
         value=value,
         error_bound=error_bound,
         panel_count=int(a.size),
-        panels=np.column_stack([a, b]) if keep_panels else None,
         converged=error_bound <= abs_tol,
     )
 
 
 def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10, initial: int | None = None,
-              max_panels: int = 60000, keep_panels: bool = False) -> QuadratureResult:
+              max_panels: int = 60000) -> QuadratureResult:
     """Integrate f over [lo, hi] with a uniform initial panelling."""
     if not hi > lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
@@ -120,31 +118,22 @@ def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10, initial: int | No
         initial = int(min(4096, max(8, np.ceil((hi - lo) / 4.0))))
     edges = np.linspace(lo, hi, initial + 1)
     return integrate_panels(f, np.column_stack([edges[:-1], edges[1:]]), abs_tol,
-                            max_panels=max_panels, keep_panels=keep_panels)
+                            max_panels=max_panels)
 
 
-def two_sided_panels(radius: float, inner: float = 16.0, width: float = 1.0, grow: float = 1.35) -> np.ndarray:
-    """Symmetric panelling of [-radius, radius]: unit-width panels near zero,
-    geometrically growing widths outward.  Adaptive refinement restores any
-    resolution lost in the tails."""
+def two_sided_panels(radius: float, inner: float = 16.0) -> np.ndarray:
+    """Symmetric panelling of [-radius, radius]: unit-width panels out to
+    inner, then widths growing by 1.35 per panel.  Adaptive refinement
+    restores any resolution lost in the tails."""
     edges = [0.0]
     while edges[-1] < min(inner, radius):
-        edges.append(min(radius, edges[-1] + width))
-    step = width
+        edges.append(min(radius, edges[-1] + 1.0))
+    step = 1.0
     while edges[-1] < radius:
-        step *= grow
+        step *= 1.35
         edges.append(min(radius, edges[-1] + step))
     e = np.asarray(edges)
     right = np.column_stack([e[:-1], e[1:]])
     left = np.column_stack([-e[1:], -e[:-1]])
     return np.vstack([left[::-1], right])
 
-
-def panel_nodes_weights(panels: np.ndarray):
-    """Kronrod nodes and weights for each panel, flattened in panel order."""
-    panels = np.asarray(panels, dtype=float)
-    half = 0.5 * (panels[:, 1] - panels[:, 0])
-    mid = 0.5 * (panels[:, 0] + panels[:, 1])
-    nodes = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    weights = (half[:, None] * _WK[None, :]).ravel()
-    return nodes, weights

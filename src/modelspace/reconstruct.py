@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clark import SamplingGrid
-from .inner import InnerFunctionSpec, enlarge, evaluate, phase_difference
+from .inner import InnerFunctionSpec, enlarge, evaluate, phase_difference, shaped_like
 from .kernel import SincKernelSpec, pw_oversample_kernel, sinc
 
 # Relative slack used to detect a query point sitting on a grid node.
@@ -32,7 +32,7 @@ _DIAG_TOL = 1e-12
 # Bytes of node x query workspace that one chunk of _cauchy_sum may hold.
 _CHUNK_BYTES = 1 << 24
 
-__all__ = ["GridSpecMismatchError", "ReconstructionPlan", "SampleSet",
+__all__ = ["GridSpecMismatchError", "SampleSet",
            "sample_function", "truncate_samples", "shannon_reconstruct",
            "pw_oversample_reconstruct", "clark_reconstruct",
            "model_oversample_reconstruct", "plancherel_norm"]
@@ -43,37 +43,6 @@ class GridSpecMismatchError(ValueError):
 
 
 _METHODS = ("shannon", "pw_oversample", "clark", "model_oversample")
-
-
-@dataclass(frozen=True)
-class ReconstructionPlan:
-    """Which interpolation route to run, with its route-specific parameters.
-
-    window is the truncation half-width K: uniform methods keep samples with
-    |k| <= K, grid methods keep node indices with |n| <= K.
-    """
-
-    method: str
-    window: int
-    sinc_spec: SincKernelSpec | None = None
-    m: int | None = None
-    over_c: float | None = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-        if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 1:
-            raise ValueError(f"window must be a positive integer, got {self.window!r}")
-        needs_sinc = self.method == "pw_oversample"
-        if needs_sinc != (self.sinc_spec is not None):
-            raise ValueError(f"sinc_spec must be set exactly for pw_oversample (method={self.method})")
-        needs_over = self.method == "model_oversample"
-        if needs_over != (self.m is not None) or needs_over != (self.over_c is not None):
-            raise ValueError(f"m and over_c must be set exactly for model_oversample (method={self.method})")
-        if self.m is not None and (not isinstance(self.m, int) or self.m < 1):
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        if self.over_c is not None and not float(self.over_c) > 0.0:
-            raise ValueError(f"over_c must be > 0, got {self.over_c!r}")
 
 
 @dataclass(eq=False)
@@ -159,12 +128,6 @@ def _queries(x) -> np.ndarray:
     return np.asarray(x, dtype=float).ravel()
 
 
-def _shaped(out: np.ndarray, x):
-    if np.ndim(x) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(x))
-
-
 def _band_expansion(vals: np.ndarray, kspec: SincKernelSpec, x):
     """sum_k vals[k] K(x − kπ/b) for the kernel K = pw_oversample_kernel(kspec).
 
@@ -191,7 +154,7 @@ def _band_expansion(vals: np.ndarray, kspec: SincKernelSpec, x):
     sums, j, n = _cauchy_sum(nodes, rows, xs, power + 1, 1.0 / (a if power else edge))
     out = (coef[:, None] * np.exp(1j * np.outer(freqs, xs)) * sums).sum(axis=0)
     np.add.at(out, j, vals[n] * pw_oversample_kernel(kspec, xs[j] - nodes[n]))
-    return _shaped(out, x)
+    return shaped_like(out, x)
 
 
 def shannon_reconstruct(samples, b: float, x):
@@ -254,7 +217,7 @@ def _kernel_expansion(samples: SampleSet, spec: InnerFunctionSpec, x,
     if m:
         near = near * np.exp(-1j * m * alpha * t) * sinc(alpha * t) ** m
     np.add.at(out, j, np.where(on_node, samples.values[n], near))
-    return _shaped(out, x)
+    return shaped_like(out, x)
 
 
 def clark_reconstruct(samples: SampleSet, spec: InnerFunctionSpec, x):

@@ -18,7 +18,7 @@ import numpy as np
 from . import quadrature
 from .clark import invert_phase
 from .harness import GridFunction
-from .inner import InnerFunctionSpec, derivative_sup_norm, phase_arrays
+from .inner import InnerFunctionSpec, _require_number, derivative_sup_norm, phase_arrays
 from .kernel import sinc
 
 __all__ = ["MassAtom", "DensityPiece", "MeasureSpec", "DensityReport",
@@ -127,13 +127,6 @@ def measure_to_dict(measure: MeasureSpec) -> dict:
     }
 
 
-def _num(data, key, where):
-    val = data[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError(f"{where}.{key}: expected a number, got {val!r}")
-    return float(val)
-
-
 def measure_from_dict(data: dict, where: str = "measure") -> MeasureSpec:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
@@ -145,14 +138,16 @@ def measure_from_dict(data: dict, where: str = "measure") -> MeasureSpec:
         spot = f"{where}.atoms[{i}]"
         if not isinstance(raw, dict) or set(raw) != {"x", "mass"}:
             raise ValueError(f"{spot}: expected fields x, mass")
-        atoms.append(MassAtom(position=_num(raw, "x", spot), mass=_num(raw, "mass", spot)))
+        atoms.append(MassAtom(position=_require_number(raw["x"], f"{spot}.x"),
+                              mass=_require_number(raw["mass"], f"{spot}.mass")))
     pieces = []
     for i, raw in enumerate(data.get("pieces", [])):
         spot = f"{where}.pieces[{i}]"
         if not isinstance(raw, dict) or set(raw) != {"l", "r", "h"}:
             raise ValueError(f"{spot}: expected fields l, r, h")
-        pieces.append(DensityPiece(left=_num(raw, "l", spot), right=_num(raw, "r", spot),
-                                   height=_num(raw, "h", spot)))
+        pieces.append(DensityPiece(left=_require_number(raw["l"], f"{spot}.l"),
+                                   right=_require_number(raw["r"], f"{spot}.r"),
+                                   height=_require_number(raw["h"], f"{spot}.h")))
     return MeasureSpec(atoms=tuple(atoms), pieces=tuple(pieces))
 
 

@@ -116,9 +116,12 @@ def test_negative_threads_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_hint_accepted(tmp_path):
-    cfg = {"command": "nodes", "inner": {"c": 1.0}, "params": {"n_min": 0, "n_max": 1}}
-    assert run_cli(tmp_path, cfg, extra_args=["--threads", "4"]) == 0
+def test_missing_config_flag_is_a_usage_error(capsys):
+    # exit 2 is reserved for certified-inequality violations
+    assert main([]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: modelspace" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------- reconstruct

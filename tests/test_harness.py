@@ -18,7 +18,6 @@ from modelspace.harness import (
     cont_formula_derivative,
     corpus_manifest,
     derivative_lp_norm,
-    hardy_kernel,
     lp_norm,
     random_model_function,
     spec_hash,
@@ -137,7 +136,7 @@ def test_membership_orthogonal_to_shifted_hardy_kernel(spec_two):
     w = 0.7 + 1.1j
 
     def integrand(t):
-        return f(t) * np.conj(evaluate(spec_two, t) * hardy_kernel(w, t))
+        return f(t) * np.conj(evaluate(spec_two, t) * (0.5j / math.pi) / (t - np.conj(w)))
 
     res = quadrature.integrate_panels(integrand, quadrature.two_sided_panels(4000.0), 1e-9)
     assert abs(res.value) < 1e-6
@@ -350,30 +349,29 @@ def test_cont_formula_derivative_matches_exact(spec_one, spec_two):
 def test_to_grid_function_certificate(spec_two):
     f = random_model_function(spec_two, 5, seed=14)
     for p in (1.0, 2.0):
-        gf = to_grid_function(f, p, meta={"seed": 14})
+        gf = to_grid_function(f, p)
         assert gf.p == p
-        assert gf.meta == {"seed": 14}
         assert gf.origin is f
         # certification gate
         assert gf.tail_bound <= NORM_REL_TOL * gf.norm ** p
-        # nodes/weights reproduce the interior p-mass: the gap to norm^p is
-        # exactly the analytic tail estimate, small and nonnegative
-        dot = float(np.sum(gf.weights * np.abs(gf.values) ** p))
-        gap = gf.norm ** p - dot
-        assert -1e-12 <= gap <= 1e-2 * gf.norm ** p
-        assert gf.domain[1] >= 2000.0
+        # the interior quadrature reproduces the p-mass: the gap to the
+        # certified mass is exactly the analytic tail estimate, small and
+        # nonnegative
+        mass, unc, res, radius = _certified_mass(lambda x: np.abs(f(x)) ** p,
+                                                 f.decay_profile(), spec_two, p)
+        gap = mass - float(res.value)
+        assert -1e-12 <= gap <= 1e-2 * mass
+        assert unc >= res.error_bound
+        assert radius >= 2000.0
+        assert gf.norm ** p == pytest.approx(mass, rel=1e-15)
+        assert gf.tail_bound == unc
         assert gf.evaluate(0.37) == pytest.approx(complex(f(0.37)), rel=1e-13)
 
 
 def test_grid_function_validation():
     with pytest.raises(ValueError):
-        GridFunction(domain=(-1.0, 1.0), nodes=np.zeros(3), weights=np.zeros(2),
-                     values=np.zeros(3), p=2.0, norm=1.0, tail_bound=0.0)
-    with pytest.raises(ValueError):
-        GridFunction(domain=(-1.0, 1.0), nodes=np.zeros(1), weights=np.zeros(1),
-                     values=np.zeros(1), p=2.0, norm=-1.0, tail_bound=0.0)
-    bare = GridFunction(domain=(-1.0, 1.0), nodes=np.zeros(1), weights=np.zeros(1),
-                        values=np.zeros(1), p=2.0, norm=1.0, tail_bound=0.0)
+        GridFunction(p=2.0, norm=-1.0, tail_bound=0.0)
+    bare = GridFunction(p=2.0, norm=1.0, tail_bound=0.0)
     with pytest.raises(ValueError):
         bare.evaluate(0.0)
 
@@ -396,14 +394,6 @@ def test_corpus_manifest_contents(spec_one):
     assert man["size"] == 20
     assert man["spec_hash"] == spec_hash(spec_one)
     assert man["inner"]["c"] == spec_one.c
-
-
-def test_hardy_kernel_value():
-    w = 1.0 + 2.0j
-    x = 0.5
-    assert hardy_kernel(w, x) == pytest.approx((0.5j / math.pi) / (x - np.conj(w)))
-    arr = hardy_kernel(w, np.array([0.0, 1.0]))
-    assert arr.shape == (2,)
 
 
 def test_combination_accepts_2d_points(spec_two):

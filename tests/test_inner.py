@@ -259,6 +259,34 @@ def test_sup_norm_is_cached_per_spec(monkeypatch):
         derivative_sup_norm(InnerFunctionSpec(tau=0.0, c=2.0, zeros=zeros))
 
 
+def test_sup_norm_grid_covers_zero_clusters_only(monkeypatch):
+    real = inner._phase_second_derivative
+    points = []
+
+    def counted(spec, x):
+        points.append(np.size(x))
+        return real(spec, x)
+
+    monkeypatch.setattr(inner, "_phase_second_derivative", counted)
+    # one grid over the whole span would hold about 4e6 points
+    derivative_sup_norm.cache_clear()
+    spec = InnerFunctionSpec(tau=0.0, c=1.0,
+                             zeros=(BlaschkeZero(0.0, 1e-2), BlaschkeZero(1e4, 1e-2)))
+    assert derivative_sup_norm(spec) > 200.0
+    assert sum(points) <= 1e4
+    # one grid over the whole span would hold about 4e9 points
+    derivative_sup_norm.cache_clear()
+    spec = InnerFunctionSpec(tau=0.0, c=1.0,
+                             zeros=(BlaschkeZero(0.0, 1e-3), BlaschkeZero(1e6, 1e-3)))
+    f = lambda xs: phase_arrays(spec, xs)[1]
+    peaks = []
+    for u in (0.0, 1e6):
+        x0, _ = oracles.dense_scan_max(f, u - 1e-2, u + 1e-2, 1e-6)
+        peaks.append(oracles.golden_max(f, x0 - 2e-6, x0 + 2e-6)[1])
+    assert derivative_sup_norm(spec) == pytest.approx(max(peaks), rel=1e-12)
+    derivative_sup_norm.cache_clear()
+
+
 @given(spec=spec_strategy(min_zeros=1), x=finite)
 @settings(max_examples=60)
 def test_sup_norm_dominates_pointwise(spec, x):

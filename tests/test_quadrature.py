@@ -11,7 +11,6 @@ from modelspace.quadrature import (
     QuadratureError,
     integrate,
     integrate_panels,
-    panel_nodes_weights,
     two_sided_panels,
 )
 
@@ -101,24 +100,6 @@ def test_integrate_panels_on_two_sided_layout():
     panels = two_sided_panels(600.0)
     res = integrate_panels(lambda x: 1.0 / (1.0 + x * x), panels, abs_tol=1e-11)
     assert res.value == pytest.approx(2.0 * math.atan(600.0), rel=1e-11)
-
-
-def test_panel_nodes_weights_reproduce_fixed_rule():
-    panels = np.array([[0.0, 1.0], [1.0, 3.0]])
-    nodes, weights = panel_nodes_weights(panels)
-    assert nodes.shape == (30,)
-    assert weights.sum() == pytest.approx(3.0, rel=1e-13)
-    val = float((weights * np.cos(nodes)).sum())
-    assert val == pytest.approx(math.sin(3.0), rel=1e-10)
-
-
-def test_keep_panels_round_trip():
-    res = integrate(lambda x: np.exp(-np.abs(x)), -20.0, 20.0, abs_tol=1e-11, keep_panels=True)
-    assert res.panels is not None
-    assert res.panels.shape == (res.panel_count, 2)
-    nodes, weights = panel_nodes_weights(res.panels)
-    again = float((weights * np.exp(-np.abs(nodes))).sum())
-    assert again == pytest.approx(res.value, rel=1e-12)
 
 
 def test_integrate_panels_reports_nonconvergence():

@@ -13,7 +13,6 @@ from modelspace.inner import BlaschkeZero, InnerFunctionSpec, enlarge
 from modelspace.kernel import SincKernelSpec, kernel_norm_sq, reproducing_kernel, sinc
 from modelspace.reconstruct import (
     GridSpecMismatchError,
-    ReconstructionPlan,
     SampleSet,
     clark_reconstruct,
     model_oversample_reconstruct,
@@ -28,28 +27,6 @@ from modelspace.reconstruct import (
 def uniform_samples(f, count, b):
     half = (count - 1) // 2
     return f(np.arange(-half, half + 1) * (math.pi / b))
-
-
-# ------------------------------------------------------------------ plan type
-
-def test_plan_field_requirements():
-    ks = SincKernelSpec(power=2, a=0.5, c=1.0)
-    ReconstructionPlan(method="shannon", window=10)
-    ReconstructionPlan(method="pw_oversample", window=10, sinc_spec=ks)
-    ReconstructionPlan(method="clark", window=10)
-    ReconstructionPlan(method="model_oversample", window=10, m=2, over_c=1.0)
-    with pytest.raises(ValueError):
-        ReconstructionPlan(method="fourier", window=10)
-    with pytest.raises(ValueError):
-        ReconstructionPlan(method="shannon", window=0)
-    with pytest.raises(ValueError):
-        ReconstructionPlan(method="shannon", window=10, sinc_spec=ks)
-    with pytest.raises(ValueError):
-        ReconstructionPlan(method="pw_oversample", window=10)
-    with pytest.raises(ValueError):
-        ReconstructionPlan(method="model_oversample", window=10, m=2)
-    with pytest.raises(ValueError):
-        ReconstructionPlan(method="model_oversample", window=10, m=0, over_c=1.0)
 
 
 # ------------------------------------------------------------ cardinal series

@@ -308,8 +308,7 @@ def test_embedding_ratio_argument_checks(spec_one):
     f = to_grid_function(random_model_function(spec_one, 4, seed=2), 2.0)
     with pytest.raises(ValueError):
         empirical_embedding_ratio(f, MeasureSpec(), 1.0)  # p mismatch
-    dead = GridFunction(domain=(-1.0, 1.0), nodes=np.zeros(1), weights=np.zeros(1),
-                        values=np.zeros(1), p=2.0, norm=0.0, tail_bound=0.0)
+    dead = GridFunction(p=2.0, norm=0.0, tail_bound=0.0)
     with pytest.raises(ZeroNormError):
         empirical_embedding_ratio(dead, MeasureSpec(), 2.0)
 
