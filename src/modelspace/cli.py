@@ -1,7 +1,7 @@
 """Command-line driver: JSON study configs in, CSV/JSON reports out.
 
-Exit codes are a CI contract: 0 clean, 1 config or domain error, 2 any
-certified-inequality violation.  Reports are byte-deterministic for a fixed
+Exit codes are a CI contract: 0 clean, 1 config, domain or command-line
+usage error, 2 any certified-inequality violation.  Reports are byte-deterministic for a fixed
 config except for the single # generated_at= header line.
 """
 from __future__ import annotations
