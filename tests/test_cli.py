@@ -325,3 +325,32 @@ def test_readme_examples_run(tmp_path):
                     hashlib.sha256(text.encode()).hexdigest()
     with open(README_DIGESTS, encoding="utf-8") as fh:
         assert digests == json.load(fh)
+
+
+TWO_ZEROS = {"tau": 0.0, "c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]}
+# sha256 of reports, generated_at line removed, for two runs the README
+# examples miss: a kernel-method decay over three windows, and a node CSV
+# long enough to span several write chunks (clark._CHUNK = 8192 rows)
+PINNED_RUNS = {
+    "decay_kernel": (
+        {"command": "decay", "inner": ONE_ZERO,
+         "params": {"methods": ["clark", "model_oversample"], "windows": [50, 100, 200],
+                    "seed": 3, "gamma": 0.7}},
+        {"decay_clark.csv": "400dd7296cebd946dc641fe52f28b6bc40194a7b24c8997bcce699ed95cb3992",
+         "decay_model_oversample.csv":
+             "287c58d747ce92296168a4bfddc53c78c6de9c254da6bd26abe3c78c6ca3b64c"}),
+    "nodes_chunks": (
+        {"command": "nodes", "inner": TWO_ZEROS,
+         "params": {"gamma": 1.3, "n_min": -9000, "n_max": 9000}},
+        {"nodes.csv": "c8fbf147966a3718a01b3972dba5ff7ab7eb7142a7996a9174e30a92d63b32b9"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_report_digests(tmp_path, name):
+    config, want = PINNED_RUNS[name]
+    assert run_cli(tmp_path, config) == 0
+    got = {report.name: hashlib.sha256(
+        strip_timestamps(report.read_text(encoding="utf-8")).encode()).hexdigest()
+        for report in tmp_path.iterdir() if report.name != "cfg.json"}
+    assert got == want
