@@ -7,6 +7,7 @@ the sampling grid used by the interpolation and certification modules.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,9 +189,9 @@ def write_grid_csv(grid: SamplingGrid, path, extra_header: dict | None = None) -
     """Write the grid as CSV with # key=value provenance headers.
 
     Columns are n,x_n,weight ordered by n; all floats use 17 significant
-    digits so files round-trip exactly.
+    digits so files round-trip exactly.  Rows are formatted and written
+    _CHUNK at a time, one %-format per chunk.
     """
-    lines = []
     header = {
         "gamma": format(grid.gamma, ".17g"),
         "tau": format(grid.spec.tau, ".17g"),
@@ -201,16 +202,13 @@ def write_grid_csv(grid: SamplingGrid, path, extra_header: dict | None = None) -
     }
     if extra_header:
         header.update({k: str(v) for k, v in extra_header.items()})
-    for key, val in header.items():
-        lines.append(f"# {key}={val}")
-    lines.append("n,x_n,weight")
-    for start in range(0, len(grid), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        lines.extend(f"{n},{x:.17g},{w:.17g}" for n, x, w in zip(
-            grid.indices[part].tolist(), grid.nodes[part].tolist(), grid.weights[part].tolist()))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"# {key}={val}\n" for key, val in header.items()) + "n,x_n,weight\n")
+        for start in range(0, len(grid), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            indices = grid.indices[part].tolist()
+            flat = [None] * (3 * len(indices))
+            flat[0::3] = indices
+            flat[1::3] = grid.nodes[part].tolist()
+            flat[2::3] = grid.weights[part].tolist()
+            fh.write(("%d,%.17g,%.17g\n" * len(indices)) % tuple(flat))

@@ -209,8 +209,8 @@ def derivative_sup_norm(spec: InnerFunctionSpec) -> float:
     |x - u| > v / sqrt(3), so phi' has no local maximum outside the windows
     [u_k - 10 max(v), u_k + 10 max(v)]: the grid covers each cluster of
     overlapping windows and skips the gaps between clusters.  Brackets are
-    refined by bisection to width 1e-12, and the tail limit c is included
-    for completeness.
+    refined by bisection to width 1e-12, or until every bracket spans two
+    adjacent floats, and the tail limit c is included for completeness.
     """
     if not spec.zeros:
         return spec.c
@@ -230,6 +230,8 @@ def derivative_sup_norm(spec: InnerFunctionSpec) -> float:
     if a.size:
         for _ in range(60):
             mid = 0.5 * (a + b)
+            if np.all((mid == a) | (mid == b)):
+                break  # adjacent floats: later rounds change no bracket's midpoint
             gm = _phase_second_derivative(spec, mid)
             same = (gm > 0.0) == (ga > 0.0)
             a = np.where(same, mid, a)

@@ -109,15 +109,17 @@ def _cauchy_sum(nodes: np.ndarray, coeff_rows: np.ndarray, xs: np.ndarray,
     rows = len(coeff_rows)
     stacked = np.concatenate([coeff_rows.real, coeff_rows.imag])
     sums = np.empty((2 * rows, xs.size))
-    # two float64 buffers of step x N: the reciprocals and their power
+    # two float64 buffers of step x N, allocated once: the reciprocals and their power
     step = max(1, _CHUNK_BYTES // (16 * nodes.size))
+    recip_buf = np.empty((min(step, xs.size), nodes.size))
+    power_buf = np.empty_like(recip_buf) if order > 1 else None
     for q0 in range(0, xs.size, step):
         q1 = min(q0 + step, xs.size)
         p0, p1 = np.searchsorted(j, (q0, q1))
-        recip = xs[q0:q1, None] - nodes[None, :]
+        recip = np.subtract(xs[q0:q1, None], nodes[None, :], out=recip_buf[:q1 - q0])
         recip[j[p0:p1] - q0, n[p0:p1]] = np.inf  # left out: 1/inf = 0
         np.reciprocal(recip, out=recip)
-        power = recip if order == 1 else recip * recip
+        power = recip if order == 1 else np.multiply(recip, recip, out=power_buf[:q1 - q0])
         for _ in range(order - 2):
             power *= recip
         sums[:, q0:q1] = stacked @ power.T

@@ -3,16 +3,17 @@
 Deliberately dumb implementations: composite Simpson with one Richardson
 step, dense grid scans, golden-section refinement, central differences,
 fixed-round bisection for the phase inverse, the allocating per-zero
-forms of Theta, phi, phi' and the kernel-combination derivative, and the
-dense O(N*M) node x query sums of the four reconstruction routes.  Nothing
-here may import the adaptive quadrature, the phase inversion or the
+forms of Theta, phi, phi' and the kernel-combination derivative, the
+dense O(N*M) node x query sums of the four reconstruction routes, and
+earlier loops kept as bit-for-bit references for their replacements.
+Nothing here may import the adaptive quadrature, the phase inversion or the
 reconstruction code under test.
 """
 import math
 
 import numpy as np
 
-from modelspace.inner import enlarge, evaluate
+from modelspace.inner import _phase_second_derivative, enlarge, evaluate, phase_arrays
 from modelspace.kernel import pw_oversample_kernel, sinc
 
 
@@ -181,3 +182,59 @@ def dense_model_oversample(samples, base_spec, over_c, m, x):
         return np.exp(-0.5j * over_c * diff) * sinc(over_c * diff / (2.0 * m)) ** m
 
     return _dense_node_expansion(samples, enlarge(base_spec, over_c, ()), x, damping)
+
+
+# ---------------------------------------------------------------------------
+# Earlier loops: the replacements must give the same bits.
+
+def allocating_cauchy_sum(nodes, coeff_rows, xs, order, j, n, chunk_bytes):
+    """Chunked Cauchy sums with fresh reciprocal and power arrays per chunk;
+    (j, n) are the node-query pairs left out."""
+    rows = len(coeff_rows)
+    stacked = np.concatenate([coeff_rows.real, coeff_rows.imag])
+    sums = np.empty((2 * rows, xs.size))
+    step = max(1, chunk_bytes // (16 * nodes.size))
+    for q0 in range(0, xs.size, step):
+        q1 = min(q0 + step, xs.size)
+        p0, p1 = np.searchsorted(j, (q0, q1))
+        recip = xs[q0:q1, None] - nodes[None, :]
+        recip[j[p0:p1] - q0, n[p0:p1]] = np.inf
+        np.reciprocal(recip, out=recip)
+        power = recip if order == 1 else recip * recip
+        for _ in range(order - 2):
+            power *= recip
+        sums[:, q0:q1] = stacked @ power.T
+    return sums[:rows] + 1j * sums[rows:]
+
+
+def full_round_sup_norm(spec):
+    """sup phi' from the sign changes of phi'' on the windowed grid, each
+    bracket bisected until all are narrower than 1e-12 or 60 rounds ran."""
+    if not spec.zeros:
+        return spec.c
+    res = sorted(z.re for z in spec.zeros)
+    ims = [z.im for z in spec.zeros]
+    pad = 10.0 * max(ims)
+    step = min(ims) / 4.0
+    cuts = [i for i in range(1, len(res)) if res[i] - pad > res[i - 1] + pad]
+    grid = np.concatenate([np.arange(res[first] - pad, res[last - 1] + pad + step, step)
+                           for first, last in zip([0] + cuts, cuts + [len(res)])])
+    g = _phase_second_derivative(spec, grid)
+    candidates = [grid]
+    sign_change = (g[:-1] == 0.0) | ((g[:-1] > 0.0) != (g[1:] > 0.0))
+    a = grid[:-1][sign_change]
+    b = grid[1:][sign_change]
+    ga = g[:-1][sign_change]
+    if a.size:
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            gm = _phase_second_derivative(spec, mid)
+            same = (gm > 0.0) == (ga > 0.0)
+            a = np.where(same, mid, a)
+            ga = np.where(same, gm, ga)
+            b = np.where(same, b, mid)
+            if float(np.max(b - a)) < 1e-12:
+                break
+        candidates.append(0.5 * (a + b))
+    _, der = phase_arrays(spec, np.concatenate(candidates))
+    return max(spec.c, float(der.max()))

@@ -116,6 +116,23 @@ def test_negative_threads_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_naming_a_file_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "nodes", "inner": {"c": 1.0},
+                               "params": {"n_min": 0, "n_max": 1}}), encoding="utf-8")
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(afile)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_report_path_is_an_error(tmp_path, capsys):
+    (tmp_path / "nodes.csv").mkdir()  # the report path names a directory
+    cfg = {"command": "nodes", "inner": {"c": 1.0}, "params": {"n_min": 0, "n_max": 1}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_config_flag_is_a_usage_error(capsys):
     # exit 2 is reserved for certified-inequality violations
     assert main([]) == 1
@@ -254,6 +271,23 @@ def test_certify_sieve_detects_violation(tmp_path, monkeypatch):
     assert run_cli(tmp_path, cfg) == 2
     _, _, rows = read_report(tmp_path / "certify_sieve_p2.csv")
     assert float(rows[0][4]) < 0.0
+
+
+def test_certify_sieve_ratio_once_per_function_and_p(tmp_path, monkeypatch):
+    import modelspace.sieve as sieve_mod
+    real = sieve_mod.empirical_embedding_ratio
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(sieve_mod, "empirical_embedding_ratio", counted)
+    cfg = {"command": "certify-sieve", "inner": ONE_ZERO, "measure": ATOM,
+           "params": {"size": 2, "count": 3, "deltas": [0.5, 1.0, 2.0], "p": [1.0, 2.0]}}
+    assert run_cli(tmp_path, cfg) == 0
+    # the ratio does not depend on delta
+    assert calls == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_certify_bernstein_command(tmp_path):

@@ -287,6 +287,44 @@ def test_sup_norm_grid_covers_zero_clusters_only(monkeypatch):
     derivative_sup_norm.cache_clear()
 
 
+def test_sup_norm_bisection_stops_at_float_spacing(monkeypatch):
+    real = inner._phase_second_derivative
+    calls = []
+
+    def counted(spec, x):
+        calls.append(np.size(x))
+        return real(spec, x)
+
+    monkeypatch.setattr(inner, "_phase_second_derivative", counted)
+    # brackets near 1e6 stop shrinking at a float spacing of 1.2e-10, far
+    # above the width target of 1e-12: 1 grid pass and 31 bisection rounds
+    derivative_sup_norm.cache_clear()
+    spec = InnerFunctionSpec(tau=0.0, c=1.0, zeros=(BlaschkeZero(1e6, 1.0),))
+    assert derivative_sup_norm(spec) == oracles.full_round_sup_norm(spec)
+    assert len(calls) == 32
+    derivative_sup_norm.cache_clear()
+
+
+def test_sup_norm_bits_match_full_rounds(spec_one, spec_two):
+    rng = np.random.default_rng(11)
+    # 32 zeros on a Latin hypercube over Re in [-100, 100], Im in [0.25, 2]
+    heights = rng.permutation(32)
+    dense = InnerFunctionSpec(tau=0.0, c=1.0, zeros=tuple(
+        BlaschkeZero(-100.0 + 200.0 * (k + rng.random()) / 32,
+                     0.25 + 1.75 * (heights[k] + rng.random()) / 32) for k in range(32)))
+    far = InnerFunctionSpec(tau=0.0, c=1.0,
+                            zeros=(BlaschkeZero(0.0, 1e-3), BlaschkeZero(1e6, 1e-3)))
+    randoms = [InnerFunctionSpec(
+        tau=rng.uniform(-3.0, 3.0), c=rng.uniform(0.05, 4.0),
+        zeros=tuple(BlaschkeZero(rng.uniform(-10.0, 10.0) * 10.0 ** rng.integers(0, 6),
+                                 rng.uniform(0.05, 3.0), int(rng.integers(1, 4)))
+                    for _ in range(int(rng.integers(1, 5))))) for _ in range(40)]
+    for spec in [spec_one, spec_two, dense, far] + randoms:
+        derivative_sup_norm.cache_clear()
+        assert derivative_sup_norm(spec) == oracles.full_round_sup_norm(spec), spec
+    derivative_sup_norm.cache_clear()
+
+
 @given(spec=spec_strategy(min_zeros=1), x=finite)
 @settings(max_examples=60)
 def test_sup_norm_dominates_pointwise(spec, x):

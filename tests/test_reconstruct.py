@@ -348,6 +348,35 @@ def test_kernel_routes_match_dense_sums(seed, chunk, monkeypatch):
         assert got == pytest.approx(oracle(samples, float(xs[0])), rel=1e-13, abs=1e-13)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cauchy_sum_matches_allocating_loop_bits(order, monkeypatch):
+    rng = np.random.default_rng(order)
+    nodes = np.sort(rng.uniform(-50.0, 50.0, 301))
+    xs = rng.uniform(-40.0, 40.0, 23)
+    rows = rng.normal(size=(3, 301)) + 1j * rng.normal(size=(3, 301))
+    budget = 16 * nodes.size * 5  # 5 queries per chunk; the last chunk holds 3
+    monkeypatch.setattr(reconstruct, "_CHUNK_BYTES", budget)
+    sums, j, n = reconstruct._cauchy_sum(nodes, rows, xs, order, 0.5)
+    want = oracles.allocating_cauchy_sum(nodes, rows, xs, order, j, n, budget)
+    assert j.size > 0
+    np.testing.assert_array_equal(sums.view(np.uint64), want.view(np.uint64))
+
+
+def test_cauchy_sum_memory_is_budget_plus_linear():
+    rng = np.random.default_rng(7)
+    nodes = np.sort(rng.uniform(-3e4, 3e4, 20001))
+    xs = np.linspace(-50.0, 50.0, 1001)  # about 20 chunks of 52 queries
+    rows = rng.normal(size=(2, nodes.size)) + 0j
+    tracemalloc.start()
+    try:
+        reconstruct._cauchy_sum(nodes, rows, xs, 2, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two chunk buffers fill the budget; rows, sums and pairs are O(N + M)
+    assert peak <= reconstruct._CHUNK_BYTES + 2**20
+
+
 @pytest.mark.parametrize("route", ["clark", "model_oversample"])
 def test_kernel_expansion_accurate_just_off_a_node(spec_two, route):
     # 1 - conj(Theta(x_n)) Theta(x) cancels next to a node; the exact phase
