@@ -2,8 +2,10 @@
 
 Exit codes are a CI contract: 0 clean, 1 config, domain or command-line
 usage error or an output path that cannot be written, 2 any
-certified-inequality violation.  Reports are byte-deterministic for a fixed
-config except for the single # generated_at= header line.
+certified-inequality violation.  Reports are byte-deterministic, apart from
+the single # generated_at= header line, for a fixed config, numpy/BLAS
+build and BLAS thread count: the reconstructions' matrix products round by
+how BLAS splits them over threads.
 """
 from __future__ import annotations
 
@@ -81,10 +83,14 @@ def _param(params: dict, key: str, default, check):
         raise ConfigError(str(exc)) from None
 
 
-def _number_list(val, where: str) -> list:
+def _number_list(val, where: str, each=_require_number) -> list:
     if not isinstance(val, list) or not val:
         raise ValueError(f"{where}: expected a nonempty number list, got {val!r}")
-    return [_require_number(v, f"{where}[{i}]") for i, v in enumerate(val)]
+    return [each(v, f"{where}[{i}]") for i, v in enumerate(val)]
+
+
+def _integer_list(val, where: str) -> list:
+    return _number_list(val, where, _require_int)
 
 
 def _num(params: dict, key: str, default=None):
@@ -225,7 +231,7 @@ def _cmd_decay(config, out_dir):
     methods = params.get("methods", ["shannon", "pw_oversample"])
     if not isinstance(methods, list) or any(m not in reconstruct._METHODS for m in methods):
         raise ConfigError(f"params.methods: expected a list drawn from {reconstruct._METHODS}")
-    windows = [int(k) for k in _num_list(params, "windows", (25, 50, 100, 200, 400))]
+    windows = _param(params, "windows", (25, 50, 100, 200, 400), _integer_list)
     if any(k < 1 for k in windows):
         raise ConfigError("params.windows: entries must be >= 1")
     uniform = any(m in ("shannon", "pw_oversample") for m in methods)
@@ -276,12 +282,13 @@ def _cmd_certify_sieve(config, out_dir):
     params = _as_params(config)
     deltas = _num_list(params, "deltas", (0.1, 0.5, 1.0, 2.0))
     p_list = _num_list(params, "p", (1.0, 2.0))
-    funcs, seed, count = _corpus(spec, params)
-    violations = 0
-    for p in p_list:
+    with harness._shared_panels(spec):
+        funcs, seed, count = _corpus(spec, params)
         # the ratios do not depend on delta
-        worst = max(sieve.empirical_embedding_ratio(harness.to_grid_function(f, p), measure, p)
-                    for f in funcs)
+        worsts = [max(sieve.empirical_embedding_ratio(harness.to_grid_function(f, p), measure, p)
+                      for f in funcs) for p in p_list]
+    violations = 0
+    for p, worst in zip(p_list, worsts):
         rows = []
         for delta in sorted(deltas):
             dens = sieve.d_mu(measure, delta).value
@@ -305,17 +312,18 @@ def _cmd_certify_bernstein(config, out_dir):
     spec = _inner_spec(config)
     params = _as_params(config)
     p_list = _num_list(params, "p", (1.0, 2.0, 4.0))
-    funcs, seed, count = _corpus(spec, params)
     rows = []
     violations = 0
-    for p in p_list:
-        worst = 0.0
-        for f in funcs:
-            lhs, rhs = harness.bernstein_check(f, p)
-            worst = max(worst, lhs / rhs)
-        if worst > 1.0 + VIOLATION_TOL:
-            violations += 1
-        rows.append((_fmt(p), _fmt(worst), _fmt(1.0 - worst)))
+    with harness._shared_panels(spec):
+        funcs, seed, count = _corpus(spec, params)
+        for p in p_list:
+            worst = 0.0
+            for f in funcs:
+                lhs, rhs = harness.bernstein_check(f, p)
+                worst = max(worst, lhs / rhs)
+            if worst > 1.0 + VIOLATION_TOL:
+                violations += 1
+            rows.append((_fmt(p), _fmt(worst), _fmt(1.0 - worst)))
     _write_report(os.path.join(out_dir, "certify_bernstein.csv"),
                   {"command": "certify-bernstein", "corpus_size": len(funcs)},
                   ("p", "max_ratio", "margin"), rows)
@@ -358,13 +366,14 @@ def _cmd_lemma_checks(config, out_dir):
 
     if "inner" in config:
         spec = _inner_spec(config)
-        funcs, _, _ = _corpus(spec, {**params, "size": _int(params, "size", 5)})
         worst = math.inf
-        for f in funcs:
-            for delta in _num_list(params, "deltas", (0.25, 1.0)):
-                for p in _num_list(params, "p", (1.0, 2.0)):
-                    left, right = harness.sup_sample_check(f, delta, p)
-                    worst = min(worst, right - left)
+        with harness._shared_panels(spec):
+            funcs, _, _ = _corpus(spec, {**params, "size": _int(params, "size", 5)})
+            for f in funcs:
+                for delta in _num_list(params, "deltas", (0.25, 1.0)):
+                    for p in _num_list(params, "p", (1.0, 2.0)):
+                        left, right = harness.sup_sample_check(f, delta, p)
+                        worst = min(worst, right - left)
         if worst < -VIOLATION_TOL:
             violations += 1
         rows.append(("window_sup_budget", str(len(funcs)), _fmt(worst)))

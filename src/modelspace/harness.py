@@ -12,6 +12,8 @@ corpora reproduce bit-identically from (seed, count) across platforms.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import math
@@ -26,8 +28,14 @@ from .inner import (TWO_PI, InnerFunctionSpec, derivative_sup_norm, evaluate, ph
 # Relative certification target for p-th power mass (interior + analytic tail).
 NORM_REL_TOL = 1e-6
 
-# Samples of one period of the periodic tail factor g.
+# Samples of one period of the periodic tail factor g, and e^{i theta} on them.
 _TAIL_SAMPLES = 2048
+_TAIL_WAVE = np.exp(1j * np.linspace(0.0, TWO_PI, _TAIL_SAMPLES, endpoint=False))
+
+# Points of one Gauss-Kronrod panel, and the bytes of keys, Theta and phi'
+# values and index that one panel table preallocates.
+_ROW = quadrature._XK.size
+_PANEL_BUDGET = 3 * 2**19
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -101,6 +109,93 @@ class DecayProfile:
     reach: float
 
 
+# Odd per-column multipliers of the panel table's row hash.
+_ROW_MIX = np.array([SplitMix64(k).next_uint() | 1 for k in range(_ROW)], dtype=np.uint64)
+
+
+class _PanelTable:
+    """Theta and phi' of one spec at 15-point Kronrod rows, keyed by the
+    exact bits of each row.
+
+    The certified norms of a corpus start from the same panels and only
+    bisect them, so most rows recur.  Theta and phi' bits of a point do not
+    depend on the batch it is evaluated in, so a stored row holds exactly
+    what a fresh evaluation returns.  A row hashes to one cell of a
+    direct-mapped index with about 4 to 8 cells per stored row; a hit needs the
+    stored key to match the row bit for bit.  Row 0 holds the all-zero row
+    and every free cell points at it.  Keys, values and index are
+    preallocated within _PANEL_BUDGET bytes.  A miss whose cell is taken,
+    or that comes once every row is taken, is evaluated and not stored.
+    """
+
+    def __init__(self, spec: InnerFunctionSpec):
+        self.spec = spec
+        # int32 index cells take at most 1/16 of the budget, the rows the rest
+        bits = max(1, (_PANEL_BUDGET // 64).bit_length() - 1)
+        rows = max(2, (_PANEL_BUDGET - (4 << bits)) // (_ROW * (8 + 16 + 8)))
+        self.shift = np.uint64(64 - bits)
+        self.index = np.zeros(1 << bits, dtype=np.int32)
+        self.keys = np.empty((rows, _ROW), dtype=np.uint64)
+        self.theta = np.empty((rows, _ROW), dtype=complex)
+        self.dphi = np.empty((rows, _ROW))
+        zero = np.zeros((1, _ROW))
+        self.keys[0] = 0
+        self.theta[0] = evaluate(spec, zero)
+        self.dphi[0] = phase_derivative(spec, zero)
+        self.size = 1
+
+    def values(self, x: np.ndarray):
+        """(Theta, phi') at the rows of x, a C-contiguous (n, _ROW) float
+        array, flattened."""
+        bits = x.view(np.uint64)
+        # multiplicative hash: the top bits of the wrapped products pick the cell
+        cell = ((bits @ _ROW_MIX) >> self.shift).astype(np.intp)
+        slot = self.index.take(cell)
+        theta = self.theta.take(slot, axis=0)
+        dphi = self.dphi.take(slot, axis=0)
+        miss = np.flatnonzero((self.keys.take(slot, axis=0) != bits).any(axis=1))
+        if miss.size:
+            theta[miss] = evaluate(self.spec, x[miss])
+            dphi[miss] = phase_derivative(self.spec, x[miss])
+            new = miss[slot[miss] == 0][:len(self.keys) - self.size]
+            end = self.size + new.size
+            self.index[cell[new]] = np.arange(self.size, end)
+            self.keys[self.size:end] = bits[new]
+            self.theta[self.size:end] = theta[new]
+            self.dphi[self.size:end] = dphi[new]
+            self.size = end
+        return theta.reshape(-1), dphi.reshape(-1)
+
+
+_open_panels = contextvars.ContextVar("modelspace_panels", default=None)
+
+
+@contextlib.contextmanager
+def _shared_panels(spec: InnerFunctionSpec):
+    """Scope of one panel table for spec.
+
+    Inside it, KernelCombination of spec takes Theta and phi' at a real
+    (n, 15) array of Kronrod rows, as _certified_norm hands it, from the
+    table.  The CLI opens it around building and certifying a corpus; the
+    table is dropped on exit, so nothing is kept across commands.
+    """
+    token = _open_panels.set(_PanelTable(spec))
+    try:
+        yield
+    finally:
+        _open_panels.reset(token)
+
+
+def _panel_table(spec: InnerFunctionSpec, x):
+    """The open panel table of spec when x is a real array of Kronrod rows."""
+    table = _open_panels.get()
+    if (table is None or not isinstance(x, np.ndarray) or x.dtype != np.float64
+            or x.ndim != 2 or x.shape[1] != _ROW or not x.flags.c_contiguous
+            or table.spec != spec):
+        return None
+    return table
+
+
 @dataclass(eq=False)
 class KernelCombination:
     """f = sum_j coefficients[j] * k_{anchors[j]} with anchors in Im > 0."""
@@ -127,7 +222,8 @@ class KernelCombination:
     def __call__(self, z):
         """f at points of any shape; z is flattened for the kernel sums."""
         zz = np.asarray(z, dtype=complex).reshape(-1)
-        theta = evaluate(self.spec, zz)
+        table = _panel_table(self.spec, z)
+        theta = evaluate(self.spec, zz) if table is None else table.values(z)[0]
         num = 1.0 - self._qbar[:, None] * theta[None, :]
         den = zz[None, :] - self._wbar[:, None]
         out = (0.5j / math.pi) * (self.coefficients[None, :] @ (num / den))[0]
@@ -137,8 +233,12 @@ class KernelCombination:
         """Exact derivative on the real line via Theta' = i phi' Theta, at
         points of any shape."""
         xs = np.asarray(x, dtype=float).reshape(-1)
-        dph = phase_derivative(self.spec, xs)
-        theta = evaluate(self.spec, xs)
+        table = _panel_table(self.spec, x)
+        if table is None:
+            dph = phase_derivative(self.spec, xs)
+            theta = evaluate(self.spec, xs)
+        else:
+            theta, dph = table.values(x)
         dtheta = 1j * dph * theta
         den = xs[None, :] - self._wbar[:, None]
         num = 1.0 - self._qbar[:, None] * theta[None, :]
@@ -216,8 +316,7 @@ def _tail_samples(profile: DecayProfile, spec: InnerFunctionSpec, p: float) -> n
     if spec.c <= 1e-12:
         # phase freezes at tau in both tails (Blaschke swing is a multiple of 2pi)
         return np.array([(abs(a - b * np.exp(1j * spec.tau)) / TWO_PI) ** p])
-    theta = np.linspace(0.0, TWO_PI, _TAIL_SAMPLES, endpoint=False)
-    return (np.abs(a - b * np.exp(1j * theta)) / TWO_PI) ** p
+    return (np.abs(a - b * _TAIL_WAVE) / TWO_PI) ** p
 
 
 def _alias_bounds(la: float, lb: float, p: float, n: int):
@@ -419,7 +518,9 @@ def _certified_norm(f: KernelCombination, p: float, derivative: bool):
     fn = f.derivative if derivative else f
 
     def values(x):
-        return np.abs(fn(x)) ** p
+        # whole Kronrod rows, which an open panel table serves
+        rows = x.reshape(-1, _ROW) if x.size % _ROW == 0 else x
+        return np.abs(fn(rows)) ** p
 
     mass, unc, _, _ = _certified_mass(values, profile, f.spec, p)
     return mass ** (1.0 / p), unc

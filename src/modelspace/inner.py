@@ -119,6 +119,8 @@ def evaluate(spec: InnerFunctionSpec, z):
     """
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.exp(1j * (spec.tau + spec.c * zz))
+    if not spec.zeros:
+        return shaped_like(out, z)
     num = np.empty_like(zz)
     den = np.empty_like(zz)
     for zero in spec.zeros:

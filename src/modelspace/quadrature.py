@@ -81,8 +81,9 @@ def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000) -> Quad
         total_err = float(errs.sum())
         if total_err <= abs_tol or a.size >= max_panels:
             break
-        threshold = max(abs_tol / a.size, 0.25 * float(errs.max()))
-        split = errs > min(threshold, 0.999999 * float(errs.max()))
+        err_max = float(errs.max())
+        threshold = max(abs_tol / a.size, 0.25 * err_max)
+        split = errs > min(threshold, 0.999999 * err_max)
         # never split panels already at floating-point width
         split &= (b - a) > 1e-13 * (1.0 + np.abs(a) + np.abs(b))
         if not split.any():

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +201,13 @@ def test_decay_command(tmp_path):
     assert sup_o[2] < sup_s[2]
 
 
+def test_decay_rejects_fractional_windows(tmp_path, capsys):
+    cfg = {"command": "decay", "inner": {"c": 2.0}, "params": {"windows": [2.5, 10.9]}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert "params.windows[0]: expected an integer, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "decay_shannon.csv").exists()
+
+
 def test_decay_clark_route(tmp_path):
     cfg = {"command": "decay", "inner": ONE_ZERO,
            "params": {"methods": ["clark"], "windows": [50, 150], "seed": 3}}
@@ -342,23 +351,52 @@ README = os.path.join(os.path.dirname(HERE), "README.md")
 README_DIGESTS = os.path.join(HERE, "readme_report_digests.json")
 
 
-def test_readme_examples_run(tmp_path):
+def readme_configs():
     with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.S)
     assert len(blocks) == 7  # one example per command
+    return [json.loads(block) for block in blocks]
+
+
+def report_digests(out, command):
+    """sha256 of each report in out, generated_at line removed."""
+    return {f"{command}/{report.name}":
+            hashlib.sha256(strip_timestamps(report.read_text(encoding="utf-8")).encode()).hexdigest()
+            for report in sorted(out.iterdir()) if report.name != "cfg.json"}
+
+
+def readme_digests():
+    with open(README_DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_readme_examples_run(tmp_path):
     digests = {}
-    for i, block in enumerate(blocks):
+    for i, config in enumerate(readme_configs()):
         out = tmp_path / f"example{i}"
         out.mkdir()
-        config = json.loads(block)
-        assert run_cli(out, config) == 0, block
-        for report in sorted(out.iterdir()):
-            if report.name != "cfg.json":
-                text = strip_timestamps(report.read_text(encoding="utf-8"))
-                digests[f"{config['command']}/{report.name}"] = \
-                    hashlib.sha256(text.encode()).hexdigest()
-    with open(README_DIGESTS, encoding="utf-8") as fh:
-        assert digests == json.load(fh)
+        assert run_cli(out, config) == 0, config
+        digests.update(report_digests(out, config["command"]))
+    assert digests == readme_digests()
+
+
+def test_readme_examples_match_with_one_blas_thread(tmp_path):
+    # reports depend on the BLAS thread count in general (README "Reports");
+    # those of the README examples are the same at one thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = {}
+    for i, config in enumerate(readme_configs()):
+        out = tmp_path / f"example{i}"
+        out.mkdir()
+        (out / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "modelspace", "--config", str(out / "cfg.json"),
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.update(report_digests(out, config["command"]))
+    assert digests == readme_digests()
 
 
 TWO_ZEROS = {"tau": 0.0, "c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]}

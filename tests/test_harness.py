@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from modelspace import quadrature
+from modelspace import harness, quadrature
 from modelspace.harness import (
     NORM_REL_TOL,
     DecayProfile,
@@ -24,8 +24,9 @@ from modelspace.harness import (
     sup_sample_check,
     to_grid_function,
 )
-from modelspace.harness import (_alias_bounds, _certified_mass, _p_mass, _sharp_tail_terms,
-                                _tail_samples, _tail_uncertainty)
+from modelspace.harness import (_alias_bounds, _certified_mass, _certified_norm, _p_mass,
+                                _shared_panels, _sharp_tail_terms, _tail_samples,
+                                _tail_uncertainty)
 from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase
 from modelspace.kernel import reproducing_kernel
 from modelspace.quadrature import QuadratureError
@@ -607,3 +608,117 @@ def test_quadrature_failure_raises_in_callers(spec_one, monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_panels", short)
     with pytest.raises(QuadratureError, match="cont_formula_derivative"):
         cont_formula_derivative(f, 0.3)
+
+
+# ---------------------------------------------------- shared panel table
+
+def _corpus_spec(name, request):
+    if name == "dense":
+        from test_clark import _dense_layout
+        return _dense_layout()
+    return request.getfixturevalue(name)
+
+
+def _norm_bits(funcs, order):
+    """(norm, uncertainty) bits of f and f' for p = 1, 2, 4, members in order."""
+    out = {}
+    for i in order:
+        for p in (1.0, 2.0, 4.0):
+            for derivative in (False, True):
+                out[i, p, derivative] = np.array(
+                    _certified_norm(funcs[i], p, derivative)).view(np.uint64).tolist()
+    return out
+
+
+@pytest.mark.parametrize("name", ["spec_one", "spec_two", "spec_pw", "dense"])
+def test_panel_table_keeps_corpus_norm_bits(name, request):
+    spec = _corpus_spec(name, request)
+    funcs = [random_model_function(spec, 5, seed=s) for s in (7, 8, 9)]
+    plain = _norm_bits(funcs, [0, 1, 2])
+    with _shared_panels(spec):
+        shared = _norm_bits(funcs, [2, 0, 1])
+    assert shared == plain
+
+
+def test_panel_table_full_after_a_few_rows_keeps_bits(spec_two, monkeypatch):
+    funcs = [random_model_function(spec_two, 5, seed=s) for s in (7, 8)]
+    plain = _norm_bits(funcs, [0, 1])
+    monkeypatch.setattr(harness, "_PANEL_BUDGET", 3000)
+    with _shared_panels(spec_two):
+        table = harness._open_panels.get()
+        shared = _norm_bits(funcs, [1, 0])
+    assert shared == plain
+    assert len(table.keys) == table.size == 5
+
+
+def _count_theta_points(monkeypatch):
+    points = [0]
+    real = harness.evaluate
+
+    def counted(spec, z):
+        points[0] += int(np.size(z))
+        return real(spec, z)
+
+    monkeypatch.setattr(harness, "evaluate", counted)
+    return points
+
+
+def test_panel_table_serves_only_kronrod_rows_of_its_spec(spec_one, spec_two, monkeypatch):
+    f = random_model_function(spec_two, 5, seed=5)
+    g = random_model_function(spec_one, 5, seed=5)
+    rows = np.linspace(-30.0, 30.0, 4 * 15).reshape(4, 15)
+    cases = [(f, rows), (f, rows.ravel()), (f, rows.T.copy()), (f, rows[:, ::-1]),
+             (f, rows + 0.25j), (f, 1.5), (g, rows)]
+    want = [(h(x), h.derivative(np.real(x))) for h, x in cases]
+    points = _count_theta_points(monkeypatch)
+    with _shared_panels(spec_two):
+        for (h, x), (val, der) in zip(cases, want):
+            assert np.array_equal(h(x), val) and np.array_equal(h.derivative(np.real(x)), der)
+        # the table holds its all-zero row and the four rows
+        assert harness._open_panels.get().size == 1 + 4
+    # f(rows) and f'(rows) come from the table, which evaluated its zero row
+    # and the four rows once; the rest, Re(rows + 0.25j) being a strided
+    # view, is evaluated as outside the scope
+    served = 2 * rows.size
+    assert points[0] == 2 * sum(np.size(x) for _, x in cases) - served + 15 + rows.size
+
+
+def test_norm_outside_a_corpus_command_evaluates_theta_at_every_point(spec_two, monkeypatch):
+    f = random_model_function(spec_two, 5, seed=7)
+    points = _count_theta_points(monkeypatch)
+    integrand = [0]
+    real = quadrature.integrate_panels
+
+    def counted(fn, *args, **kwargs):
+        def values(x):
+            integrand[0] += int(np.size(x))
+            return fn(x)
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_panels", counted)
+    lp_norm(f, 2.0)
+    derivative_lp_norm(f, 2.0)
+    assert points[0] >= integrand[0] > 0
+
+
+def test_cli_drops_the_panel_table(tmp_path, monkeypatch):
+    import gc
+    import json
+
+    from modelspace.cli import main
+
+    points = _count_theta_points(monkeypatch)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "command": "certify-bernstein",
+        "inner": {"c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]},
+        "params": {"p": [2], "size": 3}}), encoding="utf-8")
+    runs = []
+    for _ in range(2):
+        points[0] = 0
+        assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
+        runs.append(points[0])
+        gc.collect()
+        assert harness._open_panels.get() is None
+        assert not any(isinstance(o, harness._PanelTable) for o in gc.get_objects())
+    assert runs[0] == runs[1] > 0

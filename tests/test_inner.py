@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from modelspace import inner
+from modelspace import inner, quadrature
 from modelspace.inner import (
     BlaschkeZero,
     InnerFunctionSpec,
@@ -144,6 +144,30 @@ def test_phase_derivative_bits_match_phase_arrays():
         x = float(rng.uniform(-40.0, 40.0))
         got = phase_derivative(spec, x)
         assert np.ndim(got) == 0 and got == oracles.summed_phase_arrays(spec, x)[1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_theta_and_phase_derivative_bits_do_not_depend_on_the_batch(seed):
+    # the harness panel table stores rows evaluated in one batch and hands
+    # them out in another, so each point's bits must not depend on its batch
+    rng = np.random.default_rng(seed)
+    zeros = tuple(BlaschkeZero(rng.uniform(-100.0, 100.0), rng.uniform(0.05, 3.0),
+                               int(rng.integers(1, 4)))
+                  for _ in range(int(rng.integers(0, 33))))
+    spec = InnerFunctionSpec(tau=rng.uniform(0.0, 2.0 * math.pi), c=rng.uniform(0.0, 4.0),
+                             zeros=zeros)
+    # whole 15-point Kronrod rows, formed as the quadrature forms them
+    mid = rng.uniform(-150.0, 150.0, 240)
+    half = np.exp(rng.uniform(math.log(1e-6), math.log(300.0), 240))
+    rows = mid[:, None] + half[:, None] * quadrature._XK[None, :]
+    theta = evaluate(spec, rows).view(np.uint64)
+    dphi = phase_derivative(spec, rows).view(np.uint64)
+    assert _same_bits(evaluate(spec, rows.ravel()).view(np.uint64), theta.reshape(-1))
+    for share in (0.004, 0.05, 0.3, 0.9):
+        pick = rng.random(len(rows)) < share
+        pick[int(rng.integers(len(rows)))] = True
+        assert _same_bits(evaluate(spec, rows[pick]).view(np.uint64), theta[pick])
+        assert _same_bits(phase_derivative(spec, rows[pick]).view(np.uint64), dphi[pick])
 
 
 # --------------------------------------------------------------------- phase
