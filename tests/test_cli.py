@@ -400,10 +400,18 @@ def test_readme_examples_match_with_one_blas_thread(tmp_path):
 
 
 TWO_ZEROS = {"tau": 0.0, "c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]}
-# sha256 of reports, generated_at line removed, for two runs the README
-# examples miss: a kernel-method decay over three windows, and a node CSV
-# long enough to span several write chunks (clark._CHUNK = 8192 rows)
+# sha256 of reports, generated_at line removed, for runs the README
+# examples miss: a kernel-method decay over three windows, a node CSV long
+# enough to span several write chunks (clark._CHUNK = 8192 rows), and a
+# phase-adapted density over unsorted deltas with a duplicate
 PINNED_RUNS = {
+    "density_adapted": (
+        {"command": "density", "inner": TWO_ZEROS,
+         "measure": {"atoms": [{"x": 0.3, "mass": 1.0}, {"x": 2.5, "mass": 0.5}],
+                     "pieces": [{"l": -1.0, "r": 0.0, "h": 0.8},
+                                {"l": 1.0, "r": 1.75, "h": 1.2}]},
+         "params": {"deltas": [4.0, 0.5, 1.5, 0.25, 1.5], "adapted": True}},
+        {"density.csv": "05c6e41f1c44610a24d8c64d241313c6c6aa40ab38968895ccbd9bb326f891e7"}),
     "decay_kernel": (
         {"command": "decay", "inner": ONE_ZERO,
          "params": {"methods": ["clark", "model_oversample"], "windows": [50, 100, 200],
