@@ -177,9 +177,11 @@ def _shared_panels(spec: InnerFunctionSpec):
     Inside it, KernelCombination of spec takes Theta and phi' at a real
     (n, 15) array of Kronrod rows, as _certified_norm hands it, from the
     table.  The CLI opens it around building and certifying a corpus; the
-    table is dropped on exit, so nothing is kept across commands.
+    table is dropped on exit, so nothing is kept across commands.  A spec
+    without zeros gets no table: Theta is then one complex exp and phi' the
+    constant c, cheaper than a table lookup.
     """
-    token = _open_panels.set(_PanelTable(spec))
+    token = _open_panels.set(_PanelTable(spec) if spec.zeros else None)
     try:
         yield
     finally:

@@ -11,7 +11,7 @@ breakpoints rather than linear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .kernel import sinc
 
 __all__ = ["MassAtom", "DensityPiece", "MeasureSpec", "DensityReport",
            "UnsupportedSpecError", "ZeroNormError", "d_mu", "d_mu_theta",
+           "d_mu_theta_many",
            "donoho_logan_bound_p2", "donoho_logan_bound_p1",
            "model_sieve_bound", "nyquist_density", "empirical_embedding_ratio",
            "measure_from_dict", "measure_to_dict"]
@@ -189,12 +190,29 @@ def d_mu(measure: MeasureSpec, delta: float) -> DensityReport:
                          witness=(float(cand[best]), float(cand[best] + delta)))
 
 
+# Points the phase-adapted search may hold in one stage, summed over the
+# deltas of one call: each delta's scan grid, breakpoint candidates and zoom
+# rows.  The scan step shrinks with delta, so without a limit a small delta
+# asks for an array of any size.
+_SEARCH_POINTS = 2 ** 20
+
+
 def _phase_window_objective(measure: MeasureSpec, spec: InnerFunctionSpec,
-                            delta: float, a: np.ndarray):
+                            shifts, a: np.ndarray):
+    """mu([a, b])/(b - a) and b, where phi(b) = phi(a) + shift, elementwise."""
     vals, _ = phase_arrays(spec, a)
-    b = invert_phase(spec, vals + delta)
+    b = invert_phase(spec, vals + shifts)
     length = b - a
     return measure.window_mass(a, length) / length, b
+
+
+def _objective_parts(measure: MeasureSpec, spec: InnerFunctionSpec,
+                     deltas: np.ndarray, parts: list) -> list:
+    """Objective values at each delta's left endpoints, from one batch."""
+    sizes = [part.size for part in parts]
+    vals, _ = _phase_window_objective(measure, spec, np.repeat(deltas, sizes),
+                                      np.concatenate(parts))
+    return np.split(vals, np.cumsum(sizes)[:-1])
 
 
 def d_mu_theta(measure: MeasureSpec, spec: InnerFunctionSpec, delta: float) -> DensityReport:
@@ -206,46 +224,75 @@ def d_mu_theta(measure: MeasureSpec, spec: InnerFunctionSpec, delta: float) -> D
     breakpoint) plus a uniform scan with zoom refinement; between events the
     objective is smooth, so the scan step bounds the sup gap.
     """
-    delta = float(delta)
-    if not delta > 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    return d_mu_theta_many(measure, spec, [delta])[0]
+
+
+def d_mu_theta_many(measure: MeasureSpec, spec: InnerFunctionSpec,
+                    deltas) -> list[DensityReport]:
+    """d_mu_theta at each of deltas, in order, from one search.
+
+    Every stage (breakpoint preimages, scan, each zoom round, the witness
+    ends) evaluates the candidates of all deltas in one batch; phase_arrays,
+    invert_phase and window_mass give a point the same bits in any batch,
+    so each report equals the search for its delta alone.  Raises ValueError
+    before any evaluation for a delta that is not > 0, or when the search
+    would hold more than _SEARCH_POINTS points at once.
+    """
+    deltas = [float(delta) for delta in deltas]
+    for delta in deltas:
+        if not delta > 0.0:
+            raise ValueError(f"delta must be > 0, got {delta}")
     if not spec.c > 0.0:
         raise UnsupportedSpecError("phase-adapted density requires exponential type c > 0")
     if not spec.zeros:
-        flat = d_mu(measure, delta / spec.c)
-        return DensityReport(delta=delta, value=flat.value, witness=flat.witness)
+        return [replace(d_mu(measure, delta / spec.c), delta=delta) for delta in deltas]
     hull = measure.support_hull()
-    if hull is None:
-        return DensityReport(delta=delta, value=0.0, witness=(0.0, delta / spec.c))
-    max_len = delta / spec.c
-    lo, hi = hull[0] - max_len, hull[1]
+    if hull is None or not deltas:
+        return [DensityReport(delta=delta, value=0.0, witness=(0.0, delta / spec.c))
+                for delta in deltas]
     bps = _breakpoints(measure, 0.0)
-    bp_vals, _ = phase_arrays(spec, bps)
-    preimages = invert_phase(spec, bp_vals - delta)
     widths = [q.right - q.left for q in measure.pieces]
-    step = min(min(widths) if widths else max_len, max_len) / 8.0
-    grid = np.arange(lo, hi + step, step)
-    cand = np.unique(np.concatenate([bps, preimages, grid, [lo, hi]]))
-    cand = cand[(cand >= lo - max_len) & (cand <= hi + max_len)]
-    vals, _ = _phase_window_objective(measure, spec, delta, cand)
-    order = np.argsort(vals)[::-1]
-    top = cand[order[:8]]
-    best_val = float(vals[order[0]])
-    best_a = float(cand[order[0]])
-    span = step
+    scans = []  # (lo, hi, step, max_len) of each delta
+    points = 0.0
+    for delta in deltas:
+        max_len = delta / spec.c
+        step = min(min(widths) if widths else max_len, max_len) / 8.0
+        lo, hi = hull[0] - max_len, hull[1]
+        scans.append((lo, hi, step, max_len))
+        grid = (hi + step - lo) / step if step > 0.0 else math.inf
+        # the candidates (grid, breakpoints, preimages, lo, hi) plus 8 x 101 zoom points
+        points += grid + 2 * bps.size + 2 + 8 * 101
+    if not points <= _SEARCH_POINTS:
+        raise ValueError(f"phase-adapted density search needs {points:.3g} points for "
+                         f"{len(deltas)} deltas, over the limit of {_SEARCH_POINTS}")
+    shifts = np.asarray(deltas)
+    bp_vals, _ = phase_arrays(spec, bps)
+    preimages = invert_phase(spec, bp_vals[None, :] - shifts[:, None])
+    cands = []
+    for (lo, hi, step, max_len), pre in zip(scans, preimages):
+        grid = np.arange(lo, hi + step, step)
+        cand = np.unique(np.concatenate([bps, pre, grid, [lo, hi]]))
+        cands.append(cand[(cand >= lo - max_len) & (cand <= hi + max_len)])
+    tops, best = [], []  # best: (value, left end) of each delta
+    for cand, vals in zip(cands, _objective_parts(measure, spec, shifts, cands)):
+        order = np.argsort(vals)[::-1]
+        tops.append(cand[order[:8]])
+        best.append((float(vals[order[0]]), float(cand[order[0]])))
+    spans = [scan[2] for scan in scans]
     for _ in range(4):
-        local = (top[:, None] + np.linspace(-span, span, 101)[None, :]).ravel()
-        lv, _ = _phase_window_objective(measure, spec, delta, local)
-        idx = int(np.argmax(lv))
-        if float(lv[idx]) > best_val:
-            best_val = float(lv[idx])
-            best_a = float(local[idx])
-        keep = np.argsort(lv)[::-1][:8]
-        top = local[keep]
-        span /= 25.0
-    _, b_best = _phase_window_objective(measure, spec, delta, np.array([best_a]))
-    return DensityReport(delta=delta, value=best_val,
-                         witness=(best_a, float(b_best[0])))
+        locals_ = [(top[:, None] + np.linspace(-span, span, 101)[None, :]).ravel()
+                   for top, span in zip(tops, spans)]
+        parts = _objective_parts(measure, spec, shifts, locals_)
+        for i, (local, lv) in enumerate(zip(locals_, parts)):
+            idx = int(np.argmax(lv))
+            if float(lv[idx]) > best[i][0]:
+                best[i] = (float(lv[idx]), float(local[idx]))
+            tops[i] = local[np.argsort(lv)[::-1][:8]]
+        spans = [span / 25.0 for span in spans]
+    _, ends = _phase_window_objective(measure, spec, shifts,
+                                      np.array([a for _, a in best]))
+    return [DensityReport(delta=delta, value=value, witness=(a, float(b)))
+            for delta, (value, a), b in zip(deltas, best, ends)]
 
 
 def donoho_logan_bound_p2(c: float, delta: float, d: float) -> float:

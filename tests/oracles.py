@@ -7,7 +7,8 @@ forms of Theta, phi, phi' and the kernel-combination derivative, the
 dense O(N*M) node x query sums of the four reconstruction routes, and
 earlier loops kept as bit-for-bit references for their replacements.
 Nothing here may import the adaptive quadrature, the phase inversion or the
-reconstruction code under test.
+reconstruction code under test; the earlier adapted-density search takes the
+phase inversion as an argument.
 """
 import math
 
@@ -238,3 +239,49 @@ def full_round_sup_norm(spec):
         candidates.append(0.5 * (a + b))
     _, der = phase_arrays(spec, np.concatenate(candidates))
     return max(spec.c, float(der.max()))
+
+
+def per_delta_adapted_density(measure, spec, delta, invert):
+    """The phase-adapted density search for one delta of a spec with zeros,
+    as (value, witness): breakpoints and their preimages, a scan with step
+    min(shortest piece, delta/c)/8, then four zoom rounds around the top 8.
+    invert is the phase inversion the search uses."""
+    if measure.support_hull() is None:
+        return 0.0, (0.0, delta / spec.c)
+
+    def objective(a):
+        vals, _ = phase_arrays(spec, a)
+        b = invert(spec, vals + delta)
+        length = b - a
+        return measure.window_mass(a, length) / length, b
+
+    max_len = delta / spec.c
+    lo, hi = measure.support_hull()
+    lo -= max_len
+    bps = np.unique(np.asarray([a.position for a in measure.atoms]
+                               + [p for q in measure.pieces for p in (q.left, q.right)],
+                               dtype=float))
+    bp_vals, _ = phase_arrays(spec, bps)
+    preimages = invert(spec, bp_vals - delta)
+    widths = [q.right - q.left for q in measure.pieces]
+    step = min(min(widths) if widths else max_len, max_len) / 8.0
+    grid = np.arange(lo, hi + step, step)
+    cand = np.unique(np.concatenate([bps, preimages, grid, [lo, hi]]))
+    cand = cand[(cand >= lo - max_len) & (cand <= hi + max_len)]
+    vals, _ = objective(cand)
+    order = np.argsort(vals)[::-1]
+    top = cand[order[:8]]
+    best_val = float(vals[order[0]])
+    best_a = float(cand[order[0]])
+    span = step
+    for _ in range(4):
+        local = (top[:, None] + np.linspace(-span, span, 101)[None, :]).ravel()
+        lv, _ = objective(local)
+        idx = int(np.argmax(lv))
+        if float(lv[idx]) > best_val:
+            best_val = float(lv[idx])
+            best_a = float(local[idx])
+        top = local[np.argsort(lv)[::-1][:8]]
+        span /= 25.0
+    _, b_best = objective(np.array([best_a]))
+    return best_val, (best_a, float(b_best[0]))

@@ -118,6 +118,16 @@ def _assert_matches_bisection(spec, targets):
     return got
 
 
+def test_invert_phase_gives_each_target_the_same_bits_in_any_batch():
+    # the lockstep adapted-density search and the panel table rest on this
+    rng = np.random.default_rng(11)
+    for spec in (_random_spec(rng), _random_spec(rng), _dense_layout()):
+        parts = [rng.uniform(-400.0, 400.0, n) for n in (1, 7, clark._CHUNK - 3, 300)]
+        whole = invert_phase(spec, np.concatenate(parts))
+        alone = np.concatenate([invert_phase(spec, part) for part in parts])
+        assert whole.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+
+
 def test_invert_phase_matches_bisection_oracle(spec_one, spec_two):
     nodes = 0.7 + TWO_PI * np.arange(-5000, 5001)
     for spec in (spec_one, spec_two, _dense_layout()):

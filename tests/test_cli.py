@@ -246,6 +246,17 @@ def test_density_adapted_requires_inner(tmp_path, capsys):
     assert "inner" in capsys.readouterr().err
 
 
+def test_density_adapted_scan_limit_is_an_error(tmp_path, capsys):
+    # a scan step of 1e-9/8 over [0, 1] would be an 8e9-point array
+    cfg = {"command": "density", "inner": ONE_ZERO,
+           "measure": {"atoms": [], "pieces": [{"l": 0.0, "r": 1.0, "h": 1.0}]},
+           "params": {"deltas": [1e-9], "adapted": True}}
+    assert run_cli(tmp_path, cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "points" in err
+    assert not (tmp_path / "density.csv").exists()
+
+
 def test_density_requires_deltas(tmp_path, capsys):
     assert run_cli(tmp_path, {"command": "density", "measure": ATOM, "params": {}}) == 1
     assert "params.deltas" in capsys.readouterr().err

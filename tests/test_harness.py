@@ -640,6 +640,18 @@ def test_panel_table_keeps_corpus_norm_bits(name, request):
     assert shared == plain
 
 
+def test_spec_without_zeros_opens_no_panel_table(spec_pw):
+    import gc
+
+    funcs = [random_model_function(spec_pw, 5, seed=s) for s in (7, 8)]
+    plain = _norm_bits(funcs, [0, 1])
+    with _shared_panels(spec_pw):
+        gc.collect()
+        assert not any(isinstance(o, harness._PanelTable) for o in gc.get_objects())
+        shared = _norm_bits(funcs, [1, 0])
+    assert shared == plain
+
+
 def test_panel_table_full_after_a_few_rows_keeps_bits(spec_two, monkeypatch):
     funcs = [random_model_function(spec_two, 5, seed=s) for s in (7, 8)]
     plain = _norm_bits(funcs, [0, 1])

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from modelspace import quadrature
+from modelspace.clark import invert_phase
 from modelspace.harness import GridFunction, random_model_function, to_grid_function
 from modelspace.inner import InnerFunctionSpec, BlaschkeZero, phase_arrays
 from modelspace.kernel import sinc
@@ -19,6 +21,7 @@ from modelspace.sieve import (
     ZeroNormError,
     d_mu,
     d_mu_theta,
+    d_mu_theta_many,
     donoho_logan_bound_p1,
     donoho_logan_bound_p2,
     empirical_embedding_ratio,
@@ -241,6 +244,75 @@ def test_adapted_density_beats_length_density_heuristic(spec_one):
     adapted = d_mu_theta(mu, spec_one, 1.0).value
     flat = d_mu(mu, 1.0).value
     assert adapted > flat
+
+
+def _random_measure(rng, kind):
+    atoms = pieces = ()
+    if kind in ("atoms", "both"):
+        atoms = tuple(MassAtom(x, m) for x, m in zip(rng.uniform(-6.0, 6.0, rng.integers(1, 6)),
+                                                        rng.uniform(0.1, 2.0, 5)))
+    if kind in ("pieces", "both"):
+        # one piece per slot of width 3, so pieces never overlap
+        pieces = tuple(DensityPiece(left, left + rng.uniform(0.4, 2.5), rng.uniform(0.1, 2.0))
+                       for left in np.arange(-6.0, 6.0, 3.0)[:rng.integers(1, 5)])
+    return MeasureSpec(atoms=atoms, pieces=pieces)
+
+
+def _random_spec(rng, count):
+    zeros = tuple(BlaschkeZero(re, im, int(m)) for re, im, m in zip(
+        rng.uniform(-8.0, 8.0, count), rng.uniform(0.25, 2.0, count),
+        rng.integers(1, 4, count)))
+    return InnerFunctionSpec(tau=rng.uniform(0.0, 6.0), c=rng.uniform(0.5, 2.0), zeros=zeros)
+
+
+def _report_bits(value, witness):
+    return np.array([value, *witness]).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", ["atoms", "pieces", "both", "empty"])
+@pytest.mark.parametrize("count", [1, 3, 32])
+def test_adapted_density_many_matches_per_delta_search(kind, count):
+    rng = np.random.default_rng(100 * count + len(kind))
+    mu = _random_measure(rng, kind)
+    spec = _random_spec(rng, count)
+    # unsorted with a duplicate, and a single delta
+    for deltas in ([2.0, 0.3, 1.1, 0.3], [rng.uniform(0.2, 3.0)]):
+        reports = d_mu_theta_many(mu, spec, deltas)
+        assert [rep.delta for rep in reports] == deltas
+        for delta, rep in zip(deltas, reports):
+            want = oracles.per_delta_adapted_density(mu, spec, delta, invert_phase)
+            assert _report_bits(rep.value, rep.witness) == _report_bits(*want)
+            assert rep == d_mu_theta(mu, spec, delta)
+
+
+def test_adapted_density_many_linear_phase_and_empty_list(spec_pw, corpus_measures):
+    mu = corpus_measures[-1]
+    assert d_mu_theta_many(mu, spec_pw, [3.0, 0.2]) == [
+        DensityReport(delta=d, value=d_mu(mu, d / 2.0).value, witness=d_mu(mu, d / 2.0).witness)
+        for d in (3.0, 0.2)]
+    assert d_mu_theta_many(mu, spec_pw, []) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_adapted_density_many_rejects_any_bad_delta(spec_one, bad):
+    mu = MeasureSpec(atoms=(MassAtom(0.0, 1.0),))
+    for deltas in ([bad, 1.0, 2.0], [1.0, bad], [1.0, 2.0, bad]):
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            d_mu_theta_many(mu, spec_one, deltas)
+    blaschke_only = InnerFunctionSpec(tau=0.0, c=0.0, zeros=(BlaschkeZero(0.0, 1.0),))
+    with pytest.raises(UnsupportedSpecError):
+        d_mu_theta_many(mu, blaschke_only, [1.0, 2.0])
+
+
+def test_adapted_density_scan_has_a_size_limit(spec_one):
+    # a scan step of 1e-12/8 over a hull of width 200 is 1.6e15 points
+    mu = MeasureSpec(pieces=(DensityPiece(-100.0, 100.0, 1.0),))
+    with pytest.raises(ValueError, match="points"):
+        d_mu_theta(mu, spec_one, 1e-12)
+    # the limit holds for the deltas of one call together
+    with pytest.raises(ValueError, match="points"):
+        d_mu_theta_many(mu, spec_one, [0.02] * 64)
+    assert d_mu_theta_many(mu, spec_one, [0.02]) == [d_mu_theta(mu, spec_one, 0.02)]
 
 
 # --------------------------------------------------------------------- bounds
