@@ -287,9 +287,9 @@ def test_adapted_density_many_matches_per_delta_search(kind, count):
 
 def test_adapted_density_many_linear_phase_and_empty_list(spec_pw, corpus_measures):
     mu = corpus_measures[-1]
+    # phase delta d at c = 2 is a length-d/2 window
     assert d_mu_theta_many(mu, spec_pw, [3.0, 0.2]) == [
-        DensityReport(delta=d, value=d_mu(mu, d / 2.0).value, witness=d_mu(mu, d / 2.0).witness)
-        for d in (3.0, 0.2)]
+        dataclasses.replace(d_mu(mu, d / 2.0), delta=d) for d in (3.0, 0.2)]
     assert d_mu_theta_many(mu, spec_pw, []) == []
 
 
