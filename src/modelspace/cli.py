@@ -20,8 +20,9 @@ import numpy as np
 
 from . import clark, harness, reconstruct, sieve
 from .inner import InnerFunctionSpec, _require_int, _require_number, enlarge, from_dict
-from .kernel import SincKernelSpec, higher_power_bound, sinc, xi_product_integral, \
-    xi_power_product_integral
+from .kernel import SincKernelSpec, _xi_integrals, higher_power_bound, sinc
+# bound here as before the lockstep lemma checks; perfbench wraps this binding
+from .kernel import xi_power_product_integral, xi_product_integral  # noqa: F401
 
 COMMANDS = ("nodes", "reconstruct", "decay", "density", "certify-sieve",
             "certify-bernstein", "lemma-checks")
@@ -136,8 +137,7 @@ def _corpus(spec, params):
     seed = _int(params, "seed", 1)
     if size < 1 or count < 1:
         raise ConfigError("params.size and params.count must be >= 1")
-    funcs = [harness.random_model_function(spec, count, seed + 1000 * i)
-             for i in range(size)]
+    funcs = harness._random_model_functions(spec, count, [seed + 1000 * i for i in range(size)])
     return funcs, seed, count
 
 
@@ -284,9 +284,11 @@ def _cmd_certify_sieve(config, out_dir):
     p_list = _num_list(params, "p", (1.0, 2.0))
     with harness._shared_panels(spec):
         funcs, seed, count = _corpus(spec, params)
+        norms = harness._corpus_norms([(f, p, False) for p in p_list for f in funcs])
         # the ratios do not depend on delta
-        worsts = [max(sieve.empirical_embedding_ratio(harness.to_grid_function(f, p), measure, p)
-                      for f in funcs) for p in p_list]
+        worsts = [max(sieve.empirical_embedding_ratio(
+            harness.GridFunction(float(p), *next(norms), origin=f), measure, p)
+            for f in funcs) for p in p_list]
     violations = 0
     for p, worst in zip(p_list, worsts):
         rows = []
@@ -316,11 +318,14 @@ def _cmd_certify_bernstein(config, out_dir):
     violations = 0
     with harness._shared_panels(spec):
         funcs, seed, count = _corpus(spec, params)
+        # bernstein_check's norms, f' before f, all in one pass
+        norms = harness._corpus_norms([(f, p, derivative) for p in p_list for f in funcs
+                                       for derivative in (True, False)])
         for p in p_list:
             worst = 0.0
-            for f in funcs:
-                lhs, rhs = harness.bernstein_check(f, p)
-                worst = max(worst, lhs / rhs)
+            for _ in funcs:
+                (lhs, _), (norm, _) = next(norms), next(norms)
+                worst = max(worst, lhs / (harness.derivative_sup_norm(spec) * norm))
             if worst > 1.0 + VIOLATION_TOL:
                 violations += 1
             rows.append((_fmt(p), _fmt(worst), _fmt(1.0 - worst)))
@@ -344,21 +349,24 @@ def _cmd_lemma_checks(config, out_dir):
     rows = []
     violations = 0
 
-    worst = math.inf
+    # the draws do not depend on the integrals, which run in one lockstep pass
+    draws = []
     for _ in range(pairs):
         a = -15.0 + 30.0 * rng.uniform()
-        gap = 30.0 * rng.uniform()
-        val = xi_product_integral(a, a + gap)
+        draws.append((a, 30.0 * rng.uniform()))
+    worst = math.inf
+    for (_, gap), val in zip(draws, _xi_integrals([(a, a + gap) for a, gap in draws], 1)):
         worst = min(worst, 8.0 * math.pi / (4.0 + gap * gap) - val)
     if worst < -VIOLATION_TOL:
         violations += 1
     rows.append(("squared_product_bound", str(pairs), _fmt(worst)))
 
-    worst = math.inf
+    draws = []
     for _ in range(m_pairs):
         a = -10.0 + 20.0 * rng.uniform()
-        gap = 12.0 * rng.uniform()
-        val = xi_power_product_integral(a, a + gap, 2)
+        draws.append((a, 12.0 * rng.uniform()))
+    worst = math.inf
+    for (_, gap), val in zip(draws, _xi_integrals([(a, a + gap) for a, gap in draws], 2)):
         worst = min(worst, higher_power_bound(2, gap) - val)
     if worst < -VIOLATION_TOL:
         violations += 1

@@ -17,13 +17,14 @@ import contextvars
 import hashlib
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
-from .inner import (TWO_PI, InnerFunctionSpec, derivative_sup_norm, evaluate, phase,
-                    phase_arrays, phase_derivative, shaped_like, to_dict)
+from .inner import (TWO_PI, InnerFunctionSpec, derivative_sup_norm, evaluate, phase_arrays,
+                    phase_derivative, shaped_like, to_dict)
 
 # Relative certification target for p-th power mass (interior + analytic tail).
 NORM_REL_TOL = 1e-6
@@ -42,8 +43,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 __all__ = ["SplitMix64", "LpNormError", "DecayProfile", "KernelCombination",
            "GridFunction", "random_model_function", "lp_norm", "derivative_lp_norm",
-           "bernstein_check", "sup_sample_check", "cont_formula_derivative",
-           "to_grid_function", "spec_hash", "corpus_manifest"]
+           "bernstein_check", "sup_sample_check", "to_grid_function", "spec_hash",
+           "corpus_manifest"]
 
 
 class LpNormError(ArithmeticError):
@@ -120,7 +121,9 @@ class _PanelTable:
     The certified norms of a corpus start from the same panels and only
     bisect them, so most rows recur.  Theta and phi' bits of a point do not
     depend on the batch it is evaluated in, so a stored row holds exactly
-    what a fresh evaluation returns.  A row hashes to one cell of a
+    what a fresh evaluation returns.  A row is stored with Theta only; its
+    phi' (NaN until then) is filled the first time phi' is asked for, so
+    f-only masses compute no phi'.  A row hashes to one cell of a
     direct-mapped index with about 4 to 8 cells per stored row; a hit needs the
     stored key to match the row bit for bit.  Row 0 holds the all-zero row
     and every free cell points at it.  Keys, values and index are
@@ -138,33 +141,46 @@ class _PanelTable:
         self.keys = np.empty((rows, _ROW), dtype=np.uint64)
         self.theta = np.empty((rows, _ROW), dtype=complex)
         self.dphi = np.empty((rows, _ROW))
-        zero = np.zeros((1, _ROW))
         self.keys[0] = 0
-        self.theta[0] = evaluate(spec, zero)
-        self.dphi[0] = phase_derivative(spec, zero)
+        self.theta[0] = evaluate(spec, np.zeros((1, _ROW)))
+        self.dphi[0] = np.nan
         self.size = 1
 
-    def values(self, x: np.ndarray):
-        """(Theta, phi') at the rows of x, a C-contiguous (n, _ROW) float
-        array, flattened."""
+    def values(self, x: np.ndarray, dphi: bool):
+        """(Theta, phi' or None) at the rows of x, a C-contiguous (n, _ROW)
+        float array, flattened; phi' only when dphi is set."""
         bits = x.view(np.uint64)
         # multiplicative hash: the top bits of the wrapped products pick the cell
         cell = ((bits @ _ROW_MIX) >> self.shift).astype(np.intp)
         slot = self.index.take(cell)
+        missed = (self.keys.take(slot, axis=0) != bits).any(axis=1)
+        if missed.any():
+            # the first miss at each free cell is stored, so a row that
+            # recurs in the batch is evaluated once and hits from then on
+            miss = np.flatnonzero(missed)
+            miss = miss[slot[miss] == 0]
+            new = miss[np.unique(cell[miss], return_index=True)[1]][:len(self.keys) - self.size]
+            if new.size:
+                end = self.size + new.size
+                self.index[cell[new]] = np.arange(self.size, end)
+                self.keys[self.size:end] = bits[new]
+                self.theta[self.size:end] = evaluate(self.spec, x[new])
+                self.dphi[self.size:end] = np.nan
+                self.size = end
+                slot = self.index.take(cell)
+                missed = (self.keys.take(slot, axis=0) != bits).any(axis=1)
         theta = self.theta.take(slot, axis=0)
-        dphi = self.dphi.take(slot, axis=0)
-        miss = np.flatnonzero((self.keys.take(slot, axis=0) != bits).any(axis=1))
-        if miss.size:
-            theta[miss] = evaluate(self.spec, x[miss])
-            dphi[miss] = phase_derivative(self.spec, x[miss])
-            new = miss[slot[miss] == 0][:len(self.keys) - self.size]
-            end = self.size + new.size
-            self.index[cell[new]] = np.arange(self.size, end)
-            self.keys[self.size:end] = bits[new]
-            self.theta[self.size:end] = theta[new]
-            self.dphi[self.size:end] = dphi[new]
-            self.size = end
-        return theta.reshape(-1), dphi.reshape(-1)
+        if missed.any():
+            theta[missed] = evaluate(self.spec, x[missed])
+        if not dphi:
+            return theta.reshape(-1), None
+        der = self.dphi.take(slot, axis=0)
+        lack = missed | np.isnan(der[:, 0])
+        if lack.any():
+            der[lack] = phase_derivative(self.spec, x[lack])
+            held = lack & ~missed
+            self.dphi[slot[held]] = der[held]
+        return theta.reshape(-1), der.reshape(-1)
 
 
 _open_panels = contextvars.ContextVar("modelspace_panels", default=None)
@@ -188,14 +204,15 @@ def _shared_panels(spec: InnerFunctionSpec):
         _open_panels.reset(token)
 
 
-def _panel_table(spec: InnerFunctionSpec, x):
-    """The open panel table of spec when x is a real array of Kronrod rows."""
+def _theta_at(spec: InnerFunctionSpec, x, flat: np.ndarray, dphi: bool):
+    """(Theta, phi' or None) at flat, the points of x flattened: from the open
+    panel table of spec when x is a real array of Kronrod rows."""
     table = _open_panels.get()
     if (table is None or not isinstance(x, np.ndarray) or x.dtype != np.float64
             or x.ndim != 2 or x.shape[1] != _ROW or not x.flags.c_contiguous
             or table.spec != spec):
-        return None
-    return table
+        return evaluate(spec, flat), (phase_derivative(spec, flat) if dphi else None)
+    return table.values(x, dphi)
 
 
 @dataclass(eq=False)
@@ -224,29 +241,29 @@ class KernelCombination:
     def __call__(self, z):
         """f at points of any shape; z is flattened for the kernel sums."""
         zz = np.asarray(z, dtype=complex).reshape(-1)
-        table = _panel_table(self.spec, z)
-        theta = evaluate(self.spec, zz) if table is None else table.values(z)[0]
-        num = 1.0 - self._qbar[:, None] * theta[None, :]
-        den = zz[None, :] - self._wbar[:, None]
-        out = (0.5j / math.pi) * (self.coefficients[None, :] @ (num / den))[0]
-        return shaped_like(out, z)
+        theta, _ = _theta_at(self.spec, z, zz, dphi=False)
+        return shaped_like(self._kernel_sum(zz, theta), z)
 
     def derivative(self, x):
         """Exact derivative on the real line via Theta' = i phi' Theta, at
         points of any shape."""
         xs = np.asarray(x, dtype=float).reshape(-1)
-        table = _panel_table(self.spec, x)
-        if table is None:
-            dph = phase_derivative(self.spec, xs)
-            theta = evaluate(self.spec, xs)
-        else:
-            theta, dph = table.values(x)
-        dtheta = 1j * dph * theta
-        den = xs[None, :] - self._wbar[:, None]
+        theta, dph = _theta_at(self.spec, x, xs, dphi=True)
+        return shaped_like(self._kernel_sum(xs, theta, dph), x)
+
+    def _kernel_sum(self, z: np.ndarray, theta: np.ndarray, dph=None) -> np.ndarray:
+        """f at the flat points z from Theta there, or f' from Theta and phi'.
+
+        The (1 x K) @ (K x n) product rounds by n, so a caller gets the bits
+        of f on a batch only by handing that whole batch here."""
+        den = z[None, :] - self._wbar[:, None]
         num = 1.0 - self._qbar[:, None] * theta[None, :]
-        terms = (-self._qbar[:, None] * dtheta[None, :] * den - num) / den**2
-        out = (0.5j / math.pi) * (self.coefficients[None, :] @ terms)[0]
-        return shaped_like(out, x)
+        if dph is None:
+            terms = num / den
+        else:
+            dtheta = 1j * dph * theta
+            terms = (-self._qbar[:, None] * dtheta[None, :] * den - num) / den**2
+        return (0.5j / math.pi) * (self.coefficients[None, :] @ terms)[0]
 
     def _moments(self, k_max: int = 3):
         """Moments s_k = sum alpha wbar^k and t_k = sum alpha qbar wbar^k, and
@@ -442,13 +459,6 @@ def _tail_uncertainty(g: np.ndarray, profile: DecayProfile, spec: InnerFunctionS
     return min(osc + corr, sum(terms.values()))
 
 
-def _probe_exponent(values_fn, radius: float) -> float:
-    x1, x2 = 40.0 * radius, 400.0 * radius
-    v1 = float(values_fn(np.array([x1]))[0]) + 1e-300
-    v2 = float(values_fn(np.array([x2]))[0]) + 1e-300
-    return math.log(v1 / v2) / math.log(x2 / x1)
-
-
 def _mass_panels(spec: InnerFunctionSpec, radius: float) -> np.ndarray:
     """Geometric panels out to the first radius, two periods of Theta beyond.
 
@@ -467,52 +477,61 @@ def _mass_panels(spec: InnerFunctionSpec, radius: float) -> np.ndarray:
     return np.vstack([-right[::-1, ::-1], quadrature.two_sided_panels(first, inner=16.0), right])
 
 
-def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
-            radius: float):
-    """Certified integral of values_fn = |f|^p over the line.
-
-    Interior by adaptive quadrature on [-radius, radius]; both tails as
-    gbar * integral of |x|^-m over |x| > radius, gbar the periodic mean of
-    g(theta) = (|A - B e^{i theta}| / 2pi)^p.  Returns (mass, uncertainty,
-    quadrature result), where uncertainty adds the quadrature error estimate
-    and the tail bound of _tail_uncertainty.
-    """
+def _with_tail(res, profile: DecayProfile, spec: InnerFunctionSpec, p: float, radius: float):
+    """(mass, uncertainty): the interior quadrature res on [-radius, radius]
+    plus both tails as gbar * integral of |x|^-m over |x| > radius, gbar the
+    periodic mean of g(theta) = (|A - B e^{i theta}| / 2pi)^p.  The
+    uncertainty adds the quadrature error estimate and the tail bound of
+    _tail_uncertainty."""
     m = p * profile.order
-    if m < 1.5:
-        measured = _probe_exponent(values_fn, radius)
-        raise LpNormError(
-            f"p-th power tail exponent {m:.3g} (measured {measured:.3g}) is too "
-            "slow to integrate; combinations need vanishing zeroth moments for p = 1")
-    panels = _mass_panels(spec, radius)
-    rough = quadrature.integrate_panels(values_fn, panels, abs_tol=math.inf)
-    abs_tol = max(1e-13, 1e-10 * abs(float(np.real(rough.value))))
-    res = quadrature.integrate_panels(values_fn, panels, abs_tol)
-    interior = float(np.real(res.value))
     g = _tail_samples(profile, spec, p)
     gbar = float(g.mean())
     tail = 2.0 * gbar * radius ** (1.0 - m) / (m - 1.0)
     unc = res.error_bound + _tail_uncertainty(g, profile, spec, p, radius)
-    return interior + tail, unc, res
+    return float(np.real(res.value)) + tail, unc
+
+
+def _certified_at(mass: float, unc: float, radius: float) -> bool:
+    """Whether (mass, unc) at radius certifies; LpNormError at the last radius."""
+    if unc <= NORM_REL_TOL * mass:
+        return True
+    if radius == _RADII[-1]:
+        raise LpNormError(
+            f"tail uncertainty {unc:.3e} still above {NORM_REL_TOL:.0e} * mass "
+            f"{mass:.3e} at radius {_RADII[-1]:.0f}")
+    return False
+
+
+def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
+            radius: float):
+    """Certified integral of values_fn = |f|^p over the line: (mass,
+    uncertainty, quadrature result) of _with_tail, the interior by adaptive
+    quadrature on [-radius, radius] to _INTERIOR_REL_TOL."""
+    res = quadrature.integrate_panels(values_fn, _mass_panels(spec, radius), 1e-13,
+                                      rel_tol=_INTERIOR_REL_TOL)
+    return (*_with_tail(res, profile, spec, p, radius), res)
 
 
 _RADII = (2000.0, 8000.0, 32000.0)
 
+# Relative tolerance of the interior quadrature (floor 1e-13), the integrals
+# _certified_masses keeps open at once, and the Kronrod rows it evaluates in
+# one group of whole integrals.
+_INTERIOR_REL_TOL = 1e-10
+_OPEN_INTEGRALS = 32
+_GROUP_ROWS = 512
+
 
 def _certified_mass(values_fn, profile, spec, p):
-    last = None
     for radius in _RADII:
         mass, unc, res = _p_mass(values_fn, profile, spec, p, radius)
-        if unc <= NORM_REL_TOL * mass:
+        if _certified_at(mass, unc, radius):
             return mass, unc, res, radius
-        last = (mass, unc)
-    raise LpNormError(
-        f"tail uncertainty {last[1]:.3e} still above {NORM_REL_TOL:.0e} * mass "
-        f"{last[0]:.3e} at radius {_RADII[-1]:.0f}")
 
 
-def _certified_norm(f: KernelCombination, p: float, derivative: bool):
-    """(norm, uncertainty): the certified L^p norm of f, or of f' when
-    derivative is set, and the bound on its p-th power mass left out."""
+def _mass_integrand(f: KernelCombination, p: float, derivative: bool):
+    """(p, tail profile, |f|^p or |f'|^p at points) of a certified norm;
+    LpNormError when that tail decays too slowly to integrate."""
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -524,8 +543,81 @@ def _certified_norm(f: KernelCombination, p: float, derivative: bool):
         rows = x.reshape(-1, _ROW) if x.size % _ROW == 0 else x
         return np.abs(fn(rows)) ** p
 
+    m = p * profile.order
+    if m < 1.5:
+        x1, x2 = 40.0 * _RADII[0], 400.0 * _RADII[0]
+        v1 = float(values(np.array([x1]))[0]) + 1e-300
+        v2 = float(values(np.array([x2]))[0]) + 1e-300
+        raise LpNormError(
+            f"p-th power tail exponent {m:.3g} (measured "
+            f"{math.log(v1 / v2) / math.log(x2 / x1):.3g}) is too "
+            "slow to integrate; combinations need vanishing zeroth moments for p = 1")
+    return p, profile, values
+
+
+def _certified_norm(f: KernelCombination, p: float, derivative: bool):
+    """(norm, uncertainty): the certified L^p norm of f, or of f' when
+    derivative is set, and the bound on its p-th power mass left out."""
+    p, profile, values = _mass_integrand(f, p, derivative)
     mass, unc, _, _ = _certified_mass(values, profile, f.spec, p)
     return mass ** (1.0 / p), unc
+
+
+def _certified_masses(items) -> list:
+    """(mass, uncertainty, radius) of _certified_mass for each (f, p,
+    derivative) item, with its bits, or the exception it raises; the items
+    share one spec and are certified in one lockstep quadrature.  Theta (and
+    phi' when an f' integral needs it) is taken once per group of rows; the
+    kernel sums, which round by batch, run on each integral's own rows.  At
+    most _OPEN_INTEGRALS integrals are open, whatever the number of items.
+    """
+    if len({f.spec for f, _, _ in items}) > 1:
+        raise ValueError("certified masses of one pass need a common spec")
+    out, setups, jobs = [None] * len(items), {}, deque()
+    for k, (f, p, derivative) in enumerate(items):
+        try:
+            setups[k] = _mass_integrand(f, p, derivative)
+            jobs.append(((k, 0), _mass_panels(f.spec, _RADII[0])))
+        except (ValueError, ArithmeticError) as exc:
+            out[k] = exc
+
+    def rows(keys, counts, x):
+        flat = x.reshape(-1)
+        theta, dphi = _theta_at(items[0][0].spec, x, flat, any(items[k][2] for k, _ in keys))
+        vals = np.empty(flat.size)
+        start = 0
+        for (k, _), count in zip(keys, counts):
+            f, _, derivative = items[k]
+            end = start + count * _ROW
+            sums = f._kernel_sum(flat[start:end], theta[start:end],
+                                 dphi[start:end] if derivative else None)
+            vals[start:end] = np.abs(sums) ** setups[k][0]
+            start = end
+        return vals
+
+    for (k, level), res in quadrature._lockstep(jobs, rows, 1e-13, _INTERIOR_REL_TOL,
+                                                max_open=_OPEN_INTEGRALS,
+                                                group_rows=_GROUP_ROWS):
+        p, profile, _ = setups[k]
+        spec, radius = items[k][0].spec, _RADII[level]
+        try:
+            mass, unc = _with_tail(res, profile, spec, p, radius)
+            if _certified_at(mass, unc, radius):
+                out[k] = (mass, unc, radius)
+            else:
+                jobs.append(((k, level + 1), _mass_panels(spec, _RADII[level + 1])))
+        except (ValueError, ArithmeticError) as exc:
+            out[k] = exc
+    return out
+
+
+def _corpus_norms(items):
+    """(norm, uncertainty) of each (f, p, derivative) item in turn, certified
+    in one lockstep pass; reaching an item that failed raises its error."""
+    for (_, p, _), outcome in zip(items, _certified_masses(items)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome[0] ** (1.0 / float(p)), outcome[1]
 
 
 def lp_norm(f: KernelCombination, p: float) -> float:
@@ -551,6 +643,16 @@ def random_model_function(spec: InnerFunctionSpec, count: int, seed: int) -> Ker
     the subspace with vanishing zeroth moments, which upgrades the tail from
     1/x to 1/x^2 and puts the combination in every L^p class down to p = 1.
     """
+    for cand in _draws(spec, count, seed):
+        norm = lp_norm(cand, 2.0)
+        if norm > 1e-8:
+            return KernelCombination(spec=spec, anchors=cand.anchors,
+                                     coefficients=cand.coefficients / norm)
+
+
+def _draws(spec: InnerFunctionSpec, count: int, seed: int):
+    """The candidates of random_model_function in stream order; degenerate
+    draws continue the same stream, so results stay seed-pure."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     rng = SplitMix64(seed)
@@ -567,12 +669,18 @@ def random_model_function(spec: InnerFunctionSpec, count: int, seed: int) -> Ker
             gram = cons @ cons.conj().T
             coeffs = coeffs - cons.conj().T @ np.linalg.solve(gram, cons @ coeffs)
         if np.sum(np.abs(coeffs)) > 1e-6:
-            cand = KernelCombination(spec=spec, anchors=anchors, coefficients=coeffs)
-            norm = lp_norm(cand, 2.0)
-            if norm > 1e-8:
-                return KernelCombination(spec=spec, anchors=anchors,
-                                         coefficients=coeffs / norm)
-        # degenerate draw; continue the same stream so results stay seed-pure
+            yield KernelCombination(spec=spec, anchors=anchors, coefficients=coeffs)
+
+
+def _random_model_functions(spec: InnerFunctionSpec, count: int, seeds) -> list:
+    """random_model_function at each seed, the first candidates' L^2 norms
+    certified in one lockstep pass; a member whose first candidate is
+    degenerate draws on alone."""
+    firsts = [next(_draws(spec, count, seed)) for seed in seeds]
+    norms = _corpus_norms([(f, 2.0, False) for f in firsts])
+    return [KernelCombination(spec=spec, anchors=f.anchors, coefficients=f.coefficients / norm)
+            if norm > 1e-8 else random_model_function(spec, count, seed)
+            for seed, f, (norm, _) in zip(seeds, firsts, norms)]
 
 
 def sup_sample_check(f: KernelCombination, delta: float, p: float):
@@ -604,39 +712,6 @@ def sup_sample_check(f: KernelCombination, delta: float, p: float):
     right = delta ** (-1.0 / p) * lp_norm(f, p) \
         + delta ** (1.0 - 1.0 / p) * derivative_lp_norm(f, p)
     return left, right
-
-
-def cont_formula_derivative(f: KernelCombination, x: float) -> complex:
-    """Derivative via the boundary-integral identity
-    f'(x) = 2 pi i * integral of f(t) k_t(x)^2 dt over the line;
-    kept as a cross-check of the analytic route.
-
-    Note k_t(x) = conj(k_x(t)), so the integrand pairs f against a
-    conjugate-analytic square; conjugating the kernel factor instead would
-    make the whole integrand analytic in the upper half-plane and the
-    integral collapse to zero.  The kernel is evaluated in phase form
-    -expm1(i(phi(x)-phi(t)))/(2 pi i (x-t)) so the near-diagonal
-    cancellation costs no precision.  The integral runs over
-    [x - 800, x + 800] to abs_tol 1e-8; raises QuadratureError when the
-    quadrature falls short of it.
-    """
-    x = float(x)
-    spec = f.spec
-    px = phase(spec, x)
-
-    def integrand(t):
-        pt, _ = phase_arrays(spec, t)
-        diff = x - t
-        near = np.abs(diff) < 1e-12
-        safe = np.where(near, 1.0, diff)
-        k = (-0.5j / math.pi) * np.expm1(1j * (px.value - pt)) / safe
-        k = np.where(near, px.derivative / TWO_PI, k)
-        return f(t) * k ** 2
-
-    panels = x + quadrature.two_sided_panels(800.0, inner=16.0)
-    res = quadrature.integrate_panels(integrand, panels, 1e-8).require_converged(
-        "cont_formula_derivative")
-    return complex(2j * math.pi * res.value)
 
 
 @dataclass(eq=False)

@@ -142,10 +142,15 @@ def phase_arrays(spec: InnerFunctionSpec, x):
     Returns (values, derivatives) as float ndarrays of the input shape.
     """
     xx = np.asarray(x, dtype=float)
+    return _phase_values(spec, xx), phase_derivative(spec, xx)
+
+
+def _phase_values(spec: InnerFunctionSpec, xx: np.ndarray) -> np.ndarray:
+    """The phase of phase_arrays alone, at a float ndarray."""
     val = spec.tau + spec.c * xx
     for zero in spec.zeros:
         val = val - (2.0 * zero.mult) * np.arctan2(zero.im, xx - zero.re)
-    return val, phase_derivative(spec, xx)
+    return val
 
 
 def phase_derivative(spec: InnerFunctionSpec, x):

@@ -16,6 +16,7 @@ used by the embedding certificates, with their closed-form upper bounds.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,26 @@ def xi_power_product_integral(a: float, b: float, m: int, abs_tol: float = 1e-9)
     res = quadrature.integrate_panels(f, panels, abs_tol).require_converged(
         "xi_power_product_integral")
     return float(res.value)
+
+
+def _xi_integrals(pairs, m: int) -> list:
+    """xi_product_integral (m = 1) or xi_power_product_integral at each
+    (a, b) of pairs, in one lockstep quadrature that keeps each value's bits
+    (the integrand is elementwise); raises the QuadratureError of the first
+    pair that falls short."""
+    what, radius, abs_tol = (("xi_product_integral", 1900.0, 5e-10) if m == 1
+                             else ("xi_power_product_integral", 40.0, 1e-9))
+    ends = np.array(pairs, dtype=float).reshape(-1, 2)
+    k = 2 * m
+
+    def rows(keys, counts, x):
+        reps = np.asarray(counts) * x.shape[1]
+        return (sinc(x.ravel() - np.repeat(ends[keys, 0], reps)) ** k
+                * sinc(x.ravel() - np.repeat(ends[keys, 1], reps)) ** k)
+
+    jobs = deque((i, _shifted_product_panels(a, b, radius, 20.0)) for i, (a, b) in enumerate(ends))
+    done = dict(quadrature._lockstep(jobs, rows, abs_tol))
+    return [float(done[i].require_converged(what).value) for i in range(len(ends))]
 
 
 # sqrt(pi) * 2^(2m+1) * Gamma(m - 1/2) / Gamma(m), reduced to rational

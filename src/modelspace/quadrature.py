@@ -4,12 +4,15 @@ A 15-point Kronrod rule with embedded 7-point Gauss estimate is applied to a
 worklist of panels.  Panels whose error estimate exceeds their share of the
 budget are bisected, and all new panels of a round are evaluated in a single
 vectorised call, so integrands only ever see one flat ndarray per round.
+One driver advances many such integrals in lockstep, each on its own
+panels, tolerance and error total; integrate_panels is its one-integral case.
 
 Integrands must accept a 1-d float ndarray and return an ndarray of the same
 length (real or complex).
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,10 @@ _WG = np.array([
 ])
 
 
+# Largest default initial panelling of integrate.
+MAX_INITIAL_PANELS = 4096
+
+
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature stopped before its error estimate met abs_tol."""
 
@@ -55,68 +62,130 @@ class QuadratureResult:
         return self
 
 
-def _gk_apply(f, a: np.ndarray, b: np.ndarray):
+def _gk_apply(rows, keys, counts, panels: np.ndarray):
+    a, b = panels[:, 0], panels[:, 1]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     xs = mid[:, None] + half[:, None] * _XK[None, :]
-    ys = np.asarray(f(xs.ravel())).reshape(xs.shape)
+    ys = np.asarray(rows(keys, counts, xs)).reshape(xs.shape)
     ik = (ys * _WK[None, :]).sum(axis=1) * half
     ig = (ys[:, 1::2] * _WG[None, :]).sum(axis=1) * half
     return ik, np.abs(ik - ig)
 
 
-def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000) -> QuadratureResult:
-    """Integrate f over a union of panels, refining until the summed GK error
-    estimate drops below abs_tol or the panel budget is exhausted.  The
-    result's converged flag is False when refinement stopped short of abs_tol
-    (panel budget, round cap or floating-point width)."""
-    panels = np.asarray(panels, dtype=float)
-    a = panels[:, 0].copy()
-    b = panels[:, 1].copy()
-    vals, errs = _gk_apply(f, a, b)
-    # round cap is generous: splits are batched per round, and oscillatory
-    # integrands can need hundreds of small rounds when one stubborn panel
-    # keeps the split threshold high
-    for _ in range(512):
-        total_err = float(errs.sum())
-        if total_err <= abs_tol or a.size >= max_panels:
-            break
-        err_max = float(errs.max())
-        threshold = max(abs_tol / a.size, 0.25 * err_max)
-        split = errs > min(threshold, 0.999999 * err_max)
+def _in_turn(*counts) -> np.ndarray:
+    """The stable order that gathers a concatenation of blocks by integral,
+    block j holding counts[j][i] items of integral i in turn."""
+    label = np.concatenate([np.repeat(np.arange(len(c)) * len(counts) + j, c)
+                            for j, c in enumerate(counts)])
+    return np.argsort(label, kind="stable")
+
+
+def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int = 60000,
+              max_open: int = 32, group_rows: int = 512):
+    """Adaptive GK15 integrals in lockstep; yields (key, QuadratureResult) as
+    each finishes.
+
+    jobs is a deque of (key, panels), drawn whenever fewer than max_open
+    integrals are open; the caller may append to it between results.  Each
+    integral keeps the rule of integrate_panels on its own (its panels in
+    order, its own error total, tolerance max(abs_tol, rel_tol |Re I1|)), so
+    its result does not depend on the others.  A round splits the panels of
+    all open integrals at once and evaluates the new ones in groups of whole
+    integrals of at least group_rows panels: rows(keys, counts, x) gives the
+    integrand at the (n, 15) Kronrod rows x, counts[i] panels of keys[i] in
+    turn, each integral's rows as it alone would evaluate them.
+    """
+    keys, sizes, tols, rounds = [], np.zeros(0, np.intp), np.zeros(0), np.zeros(0, np.intp)
+    # each open integral's panels in turn: the kept ones, then the new ones
+    panels, vals, errs = np.zeros((0, 2)), np.zeros(0), np.zeros(0)
+    while True:
+        starts = np.cumsum(sizes) - sizes
+        totals = np.array([errs[s:s + n].sum() for s, n in zip(starts.tolist(), sizes.tolist())])
+        err_max = np.maximum.reduceat(errs, starts)
+        cut = np.fmin(np.fmax(tols / sizes, 0.25 * err_max), 0.999999 * err_max)
+        a, b = panels[:, 0], panels[:, 1]
         # never split panels already at floating-point width
-        split &= (b - a) > 1e-13 * (1.0 + np.abs(a) + np.abs(b))
-        if not split.any():
-            break
-        keep = ~split
-        asp, bsp = a[split], b[split]
-        msp = 0.5 * (asp + bsp)
-        new_a = np.concatenate([asp, msp])
-        new_b = np.concatenate([msp, bsp])
-        new_vals, new_errs = _gk_apply(f, new_a, new_b)
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-    value = vals.sum()
-    if not np.iscomplexobj(vals):
-        value = float(value)
-    error_bound = float(errs.sum())
-    return QuadratureResult(
-        value=value,
-        error_bound=error_bound,
-        panel_count=int(a.size),
-        converged=error_bound <= abs_tol,
-    )
+        split = (errs > np.repeat(cut, sizes)) & ((b - a) > 1e-13 * (1.0 + np.abs(a) + np.abs(b)))
+        halves = np.add.reduceat(split, starts, dtype=np.intp)
+        # round cap is generous: oscillatory integrands can need hundreds of
+        # small rounds when one stubborn panel keeps the split threshold high
+        done = (totals <= tols) | (sizes >= max_panels) | (rounds >= 512) | (halves == 0)
+        for i in np.flatnonzero(done):
+            value = vals[starts[i]:starts[i] + sizes[i]].sum()
+            yield keys[i], QuadratureResult(value if np.iscomplexobj(value) else float(value),
+                                            float(totals[i]), int(sizes[i]),
+                                            bool(totals[i] <= tols[i]))
+        if done.any():
+            live = ~done
+            on = np.repeat(live, sizes)
+            panels, vals, errs, split = panels[on], vals[on], errs[on], split[on]
+            keys = [key for key, keep in zip(keys, live) if keep]
+            sizes, tols, rounds, halves = sizes[live], tols[live], rounds[live], halves[live]
+        a, b = panels[split, 0], panels[split, 1]
+        mid = 0.5 * (a + b)
+        # each integral's left halves, then its right halves
+        new = np.concatenate([np.column_stack([a, mid]), np.column_stack([mid, b])])
+        if len(keys) > 1:
+            new = new[_in_turn(halves, halves)]
+        kept, held, counts, rounds = ~split, sizes - halves, 2 * halves, rounds + 1
+        opened = []
+        while jobs and len(keys) < max_open:
+            key, job = jobs.popleft()
+            keys.append(key)
+            opened.append(np.asarray(job, dtype=float).reshape(-1, 2))
+        if not keys:
+            return
+        if opened:
+            new = np.concatenate([new] + opened)
+            counts = np.concatenate([counts, [len(job) for job in opened]]).astype(np.intp)
+            held = np.concatenate([held, np.zeros(len(opened), np.intp)])
+            rounds = np.concatenate([rounds, np.zeros(len(opened), np.intp)])
+        ends = np.cumsum(counts).tolist()
+        parts, lo, first = [], 0, 0
+        for i, end in enumerate(ends):
+            if end - lo >= group_rows or i == len(ends) - 1:
+                parts.append(_gk_apply(rows, keys[first:i + 1], counts[first:i + 1], new[lo:end]))
+                lo, first = end, i + 1
+        new_vals = np.concatenate([v for v, _ in parts])
+        new_errs = np.concatenate([e for _, e in parts])
+        firsts = [new_vals[end - n:end].sum() for n, end in zip(counts[len(tols):].tolist(),
+                                                              ends[len(tols):])]
+        tols = np.concatenate([tols, [max(abs_tol, rel_tol * abs(float(np.real(s))))
+                                      for s in firsts]])
+        panels = np.concatenate([panels[kept], new])
+        vals = np.concatenate([vals[kept], new_vals])
+        errs = np.concatenate([errs[kept], new_errs])
+        if len(keys) > 1:
+            order = _in_turn(held, counts)
+            panels, vals, errs = panels[order], vals[order], errs[order]
+        sizes = held + counts
+
+
+def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000,
+                     rel_tol: float = 0.0) -> QuadratureResult:
+    """Integrate f over a union of panels, refining until the summed GK error
+    estimate drops below the tolerance or the panel budget is exhausted.  The
+    tolerance is abs_tol, or rel_tol |Re I1| when that is larger, I1 being
+    the estimate from the given panels.  The result's converged flag is False
+    when refinement stopped short of the tolerance (panel budget, round cap or
+    floating-point width)."""
+    ((_, result),) = _lockstep(deque([(None, panels)]), lambda keys, counts, x: f(x.ravel()),
+                               abs_tol, rel_tol, max_panels)
+    return result
 
 
 def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10, initial: int | None = None,
               max_panels: int = 60000) -> QuadratureResult:
-    """Integrate f over [lo, hi] with a uniform initial panelling."""
+    """Integrate f over [lo, hi] with a uniform initial panelling: initial
+    panels, by default one per 4 units of length, at least 8 and at most
+    MAX_INITIAL_PANELS.  Raises ValueError when initial exceeds max_panels."""
     if not hi > lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
     if initial is None:
-        initial = int(min(4096, max(8, np.ceil((hi - lo) / 4.0))))
+        initial = int(min(MAX_INITIAL_PANELS, max(8, np.ceil((hi - lo) / 4.0))))
+    if initial > max_panels:
+        raise ValueError(f"{initial} initial panels exceed max_panels = {max_panels}")
     edges = np.linspace(lo, hi, initial + 1)
     return integrate_panels(f, np.column_stack([edges[:-1], edges[1:]]), abs_tol,
                             max_panels=max_panels)

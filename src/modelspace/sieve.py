@@ -18,7 +18,7 @@ import numpy as np
 from . import quadrature
 from .clark import invert_phase
 from .harness import GridFunction
-from .inner import InnerFunctionSpec, _require_number, derivative_sup_norm, phase_arrays
+from .inner import InnerFunctionSpec, _phase_values, _require_number, derivative_sup_norm
 from .kernel import sinc
 
 __all__ = ["MassAtom", "DensityPiece", "MeasureSpec", "DensityReport",
@@ -200,8 +200,7 @@ _SEARCH_POINTS = 2 ** 20
 def _phase_window_objective(measure: MeasureSpec, spec: InnerFunctionSpec,
                             shifts, a: np.ndarray):
     """mu([a, b])/(b - a) and b, where phi(b) = phi(a) + shift, elementwise."""
-    vals, _ = phase_arrays(spec, a)
-    b = invert_phase(spec, vals + shifts)
+    b = invert_phase(spec, _phase_values(spec, a) + shifts)
     length = b - a
     return measure.window_mass(a, length) / length, b
 
@@ -232,7 +231,7 @@ def d_mu_theta_many(measure: MeasureSpec, spec: InnerFunctionSpec,
     """d_mu_theta at each of deltas, in order, from one search.
 
     Every stage (breakpoint preimages, scan, each zoom round, the witness
-    ends) evaluates the candidates of all deltas in one batch; phase_arrays,
+    ends) evaluates the candidates of all deltas in one batch; the phase,
     invert_phase and window_mass give a point the same bits in any batch,
     so each report equals the search for its delta alone.  Raises ValueError
     before any evaluation for a delta that is not > 0, or when the search
@@ -266,8 +265,7 @@ def d_mu_theta_many(measure: MeasureSpec, spec: InnerFunctionSpec,
         raise ValueError(f"phase-adapted density search needs {points:.3g} points for "
                          f"{len(deltas)} deltas, over the limit of {_SEARCH_POINTS}")
     shifts = np.asarray(deltas)
-    bp_vals, _ = phase_arrays(spec, bps)
-    preimages = invert_phase(spec, bp_vals[None, :] - shifts[:, None])
+    preimages = invert_phase(spec, _phase_values(spec, bps)[None, :] - shifts[:, None])
     cands = []
     for (lo, hi, step, max_len), pre in zip(scans, preimages):
         grid = np.arange(lo, hi + step, step)
@@ -353,10 +351,11 @@ def empirical_embedding_ratio(f: GridFunction, measure: MeasureSpec, p: float) -
     for q in measure.pieces:
         if q.height == 0.0:
             continue
+        # four panels per unit length, capped as integrate caps its default
         res = quadrature.integrate(
             lambda t: np.abs(f.evaluate(t)) ** p, q.left, q.right,
             abs_tol=1e-10 * max(1.0, f.norm ** p),
-            initial=max(8, int((q.right - q.left) * 4))
+            initial=min(quadrature.MAX_INITIAL_PANELS, max(8, int((q.right - q.left) * 4)))
         ).require_converged("empirical_embedding_ratio")
         num += q.height * float(np.real(res.value))
     return num / f.norm ** p

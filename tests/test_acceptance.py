@@ -14,12 +14,12 @@ from modelspace import sieve
 from modelspace.clark import solve_nodes
 from modelspace.harness import (
     bernstein_check,
-    cont_formula_derivative,
     lp_norm,
     random_model_function,
     to_grid_function,
 )
 from modelspace.inner import derivative_sup_norm, enlarge, phase_arrays
+from test_harness import cont_formula_derivative
 from modelspace.kernel import SincKernelSpec, sinc, xi_power_product_integral, \
     xi_product_integral, higher_power_bound
 from modelspace.reconstruct import (

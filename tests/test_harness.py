@@ -15,7 +15,6 @@ from modelspace.harness import (
     LpNormError,
     SplitMix64,
     bernstein_check,
-    cont_formula_derivative,
     corpus_manifest,
     derivative_lp_norm,
     lp_norm,
@@ -27,7 +26,7 @@ from modelspace.harness import (
 from modelspace.harness import (_alias_bounds, _certified_mass, _certified_norm, _p_mass,
                                 _shared_panels, _sharp_tail_terms, _tail_samples,
                                 _tail_uncertainty)
-from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase
+from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase, phase_arrays
 from modelspace.kernel import reproducing_kernel
 from modelspace.quadrature import QuadratureError
 
@@ -334,6 +333,39 @@ def test_sup_sample_check_validation(spec_one):
                               coefficients=np.array([1.0 + 0j]))
     with pytest.raises(LpNormError):
         sup_sample_check(plain, 1.0, 1.0)
+
+
+def cont_formula_derivative(f: KernelCombination, x: float) -> complex:
+    """Derivative via the boundary-integral identity
+    f'(x) = 2 pi i * integral of f(t) k_t(x)^2 dt over the line, a
+    cross-check of the analytic route (also used by A5).
+
+    Note k_t(x) = conj(k_x(t)), so the integrand pairs f against a
+    conjugate-analytic square; conjugating the kernel factor instead would
+    make the whole integrand analytic in the upper half-plane and the
+    integral collapse to zero.  The kernel is evaluated in phase form
+    -expm1(i(phi(x)-phi(t)))/(2 pi i (x-t)) so the near-diagonal
+    cancellation costs no precision.  The integral runs over
+    [x - 800, x + 800] to abs_tol 1e-8; raises QuadratureError when the
+    quadrature falls short of it.
+    """
+    x = float(x)
+    spec = f.spec
+    px = phase(spec, x)
+
+    def integrand(t):
+        pt, _ = phase_arrays(spec, t)
+        diff = x - t
+        near = np.abs(diff) < 1e-12
+        safe = np.where(near, 1.0, diff)
+        k = (-0.5j / math.pi) * np.expm1(1j * (px.value - pt)) / safe
+        k = np.where(near, px.derivative / TWO_PI, k)
+        return f(t) * k ** 2
+
+    panels = x + quadrature.two_sided_panels(800.0, inner=16.0)
+    res = quadrature.integrate_panels(integrand, panels, 1e-8).require_converged(
+        "cont_formula_derivative")
+    return complex(2j * math.pi * res.value)
 
 
 def test_cont_formula_derivative_matches_exact(spec_one, spec_two):

@@ -114,3 +114,57 @@ def test_integrate_panels_reports_nonconvergence():
     assert smooth.converged
     assert smooth.require_converged("smooth") is smooth
     assert integrate_panels(f, np.array([[0.0, 1.0]]), abs_tol=math.inf).converged
+
+
+def test_initial_panels_over_the_budget_rejected():
+    with pytest.raises(ValueError, match="max_panels"):
+        integrate(lambda x: x, 0.0, 1.0, initial=101, max_panels=100)
+    # the default panelling stays within MAX_INITIAL_PANELS
+    res = integrate(lambda x: np.exp(-x), 0.0, 1e6, abs_tol=1e-10)
+    assert res.value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_relative_tolerance_is_the_rough_pass_folded_in():
+    # the tolerance max(floor, rel |Re I1|), I1 from the given panels, equals
+    # a rough pass at infinite tolerance followed by an absolute one
+    f = lambda x: np.abs(np.sin(3.0 * x) / (1.0 + x * x)) ** 1.5
+    panels = two_sided_panels(400.0)
+    rough = integrate_panels(f, panels, abs_tol=math.inf)
+    tol = max(1e-13, 1e-10 * abs(float(np.real(rough.value))))
+    two_pass = integrate_panels(f, panels, tol)
+    folded = integrate_panels(f, panels, 1e-13, rel_tol=1e-10)
+    assert (folded.value, folded.error_bound, folded.panel_count) == \
+        (two_pass.value, two_pass.error_bound, two_pass.panel_count)
+
+
+def test_lockstep_integrals_match_each_alone():
+    from collections import deque
+
+    from modelspace.quadrature import _lockstep
+
+    shifts = np.linspace(-3.0, 3.0, 7)
+    fns = [lambda x, s=s: np.exp(1j * x) / (1.0 + (x - s) ** 2) for s in shifts]
+    layouts = [two_sided_panels(50.0 + 10.0 * k) for k in range(len(fns))]
+    alone = [integrate_panels(f, p, 1e-12, rel_tol=1e-9) for f, p in zip(fns, layouts)]
+    seen = []
+
+    def rows(keys, counts, x):
+        seen.append(len(keys))
+        parts = np.split(x, np.cumsum(counts)[:-1])
+        return np.concatenate([fns[k](part.ravel()) for k, part in zip(keys, parts)])
+
+    jobs = deque([(0, layouts[0])])
+    queued = {0}
+    got = {}
+    for key, res in _lockstep(jobs, rows, 1e-12, 1e-9, max_open=3, group_rows=40):
+        got[key] = res
+        # the caller queues more work as results come in
+        for k in {key + 1, key + 2} - queued:
+            if k < len(fns):
+                jobs.append((k, layouts[k]))
+                queued.add(k)
+    assert sorted(got) == list(range(len(fns)))
+    for k, res in got.items():
+        assert (res.value, res.error_bound, res.panel_count, res.converged) == \
+            (alone[k].value, alone[k].error_bound, alone[k].panel_count, alone[k].converged)
+    assert max(seen) <= 3 and max(seen) > 1

@@ -401,3 +401,78 @@ def test_embedding_ratio_raises_when_quadrature_falls_short(spec_two, monkeypatc
     monkeypatch.setattr(quadrature, "integrate_panels", short)
     with pytest.raises(QuadratureError, match="empirical_embedding_ratio"):
         empirical_embedding_ratio(f, mu, 2.0)
+
+
+@pytest.fixture
+def initial_panels(monkeypatch):
+    """The initial panel counts quadrature.integrate is asked for; more than
+    4096 fails before any panel is allocated (a piece of length L once asked
+    for 4 L, which ran out of memory from about L = 1e5)."""
+    real = quadrature.integrate
+    asked = []
+
+    def capped(f, lo, hi, *args, initial=None, **kwargs):
+        asked.append(initial)
+        assert initial is None or initial <= 4096, f"{initial} initial panels"
+        return real(f, lo, hi, *args, initial=initial, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", capped)
+    return asked
+
+
+def test_embedding_ratio_of_a_long_piece_stays_small(spec_two, initial_panels):
+    import tracemalloc
+
+    f = to_grid_function(random_model_function(spec_two, 5, seed=4), 2.0)
+    whole = MeasureSpec(pieces=(DensityPiece(0.0, 1e6, 1.0),))
+    tracemalloc.start()
+    try:
+        ratio = empirical_embedding_ratio(f, whole, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    cuts = (0.0, 1e3, 1e4, 1e5, 1e6)
+    parts = MeasureSpec(pieces=tuple(DensityPiece(l, r, 1.0) for l, r in zip(cuts, cuts[1:])))
+    assert ratio == pytest.approx(empirical_embedding_ratio(f, parts, 2.0), rel=1e-8)
+    # a piece up to 1024 long keeps its four panels per unit length
+    assert initial_panels == [4096, 4000, 4096, 4096, 4096]
+
+
+def test_certify_sieve_with_a_long_piece(tmp_path, initial_panels):
+    import json
+
+    from modelspace.cli import main
+
+    cfg = {"command": "certify-sieve", "inner": {"c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}]},
+           "measure": {"atoms": [], "pieces": [{"l": 0.0, "r": 1e6, "h": 1e-3}]},
+           "params": {"size": 2, "count": 5, "deltas": [1.0], "p": [2]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    assert initial_panels == [4096, 4096]
+
+
+def test_phase_window_objective_takes_the_phase_alone(monkeypatch):
+    import modelspace.inner as inner_mod
+    import modelspace.sieve as sieve_mod
+
+    rng = np.random.default_rng(5)
+    mu = _random_measure(rng, "both")
+    spec = _random_spec(rng, 32)
+    a = rng.uniform(-10.0, 10.0, 400)
+    shifts = rng.uniform(0.2, 3.0, 400)
+    vals, ends = sieve_mod._phase_window_objective(mu, spec, shifts, a)
+    phi, _ = phase_arrays(spec, a)
+    want = invert_phase(spec, phi + shifts)
+    assert ends.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert vals.view(np.uint64).tolist() == \
+        (mu.window_mass(a, want - a) / (want - a)).view(np.uint64).tolist()
+
+    def refuse(*args):
+        raise AssertionError("phi' computed")
+
+    # with the inversion stubbed, nothing else may ask for phi'
+    monkeypatch.setattr(inner_mod, "phase_derivative", refuse)
+    monkeypatch.setattr(sieve_mod, "invert_phase", lambda spec, t: t)
+    sieve_mod._phase_window_objective(mu, spec, shifts, a)
