@@ -191,7 +191,7 @@ def _shared_panels(spec: InnerFunctionSpec):
     """Scope of one panel table for spec.
 
     Inside it, KernelCombination of spec takes Theta and phi' at a real
-    (n, 15) array of Kronrod rows, as _certified_norm hands it, from the
+    (n, 15) array of Kronrod rows, as the certified norms hand them, from the
     table.  The CLI opens it around building and certifying a corpus; the
     table is dropped on exit, so nothing is kept across commands.  A spec
     without zeros gets no table: Theta is then one complex exp and phi' the
@@ -514,12 +514,8 @@ def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
 
 _RADII = (2000.0, 8000.0, 32000.0)
 
-# Relative tolerance of the interior quadrature (floor 1e-13), the integrals
-# _certified_masses keeps open at once, and the Kronrod rows it evaluates in
-# one group of whole integrals.
+# Relative tolerance of the interior quadrature; its absolute floor is 1e-13.
 _INTERIOR_REL_TOL = 1e-10
-_OPEN_INTEGRALS = 32
-_GROUP_ROWS = 512
 
 
 def _certified_mass(values_fn, profile, spec, p):
@@ -568,8 +564,7 @@ def _certified_masses(items) -> list:
     derivative) item, with its bits, or the exception it raises; the items
     share one spec and are certified in one lockstep quadrature.  Theta (and
     phi' when an f' integral needs it) is taken once per group of rows; the
-    kernel sums, which round by batch, run on each integral's own rows.  At
-    most _OPEN_INTEGRALS integrals are open, whatever the number of items.
+    kernel sums, which round by batch, run on each integral's own rows.
     """
     if len({f.spec for f, _, _ in items}) > 1:
         raise ValueError("certified masses of one pass need a common spec")
@@ -595,9 +590,7 @@ def _certified_masses(items) -> list:
             start = end
         return vals
 
-    for (k, level), res in quadrature._lockstep(jobs, rows, 1e-13, _INTERIOR_REL_TOL,
-                                                max_open=_OPEN_INTEGRALS,
-                                                group_rows=_GROUP_ROWS):
+    for (k, level), res in quadrature._lockstep(jobs, rows, 1e-13, _INTERIOR_REL_TOL):
         p, profile, _ = setups[k]
         spec, radius = items[k][0].spec, _RADII[level]
         try:

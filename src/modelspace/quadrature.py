@@ -41,6 +41,11 @@ _WG = np.array([
 # Largest default initial panelling of integrate.
 MAX_INITIAL_PANELS = 4096
 
+# Integrals a lockstep pass keeps open at once, and the least panels it
+# evaluates in one group of whole integrals: both bound its memory.
+_MAX_OPEN = 32
+_GROUP_ROWS = 512
+
 
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature stopped before its error estimate met abs_tol."""
@@ -81,18 +86,17 @@ def _in_turn(*counts) -> np.ndarray:
     return np.argsort(label, kind="stable")
 
 
-def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int = 60000,
-              max_open: int = 32, group_rows: int = 512):
+def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int = 60000):
     """Adaptive GK15 integrals in lockstep; yields (key, QuadratureResult) as
     each finishes.
 
-    jobs is a deque of (key, panels), drawn whenever fewer than max_open
+    jobs is a deque of (key, panels), drawn whenever fewer than _MAX_OPEN
     integrals are open; the caller may append to it between results.  Each
     integral keeps the rule of integrate_panels on its own (its panels in
     order, its own error total, tolerance max(abs_tol, rel_tol |Re I1|)), so
     its result does not depend on the others.  A round splits the panels of
     all open integrals at once and evaluates the new ones in groups of whole
-    integrals of at least group_rows panels: rows(keys, counts, x) gives the
+    integrals of at least _GROUP_ROWS panels: rows(keys, counts, x) gives the
     integrand at the (n, 15) Kronrod rows x, counts[i] panels of keys[i] in
     turn, each integral's rows as it alone would evaluate them.
     """
@@ -116,21 +120,21 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int 
             yield keys[i], QuadratureResult(value if np.iscomplexobj(value) else float(value),
                                             float(totals[i]), int(sizes[i]),
                                             bool(totals[i] <= tols[i]))
-        if done.any():
-            live = ~done
-            on = np.repeat(live, sizes)
-            panels, vals, errs, split = panels[on], vals[on], errs[on], split[on]
-            keys = [key for key, keep in zip(keys, live) if keep]
-            sizes, tols, rounds, halves = sizes[live], tols[live], rounds[live], halves[live]
+        live = ~done
+        on = np.repeat(live, sizes)
+        split &= on
+        kept = np.flatnonzero(on & ~split)
+        keys = [key for key, keep in zip(keys, live) if keep]
+        held, halves = (sizes - halves)[live], halves[live]
         a, b = panels[split, 0], panels[split, 1]
         mid = 0.5 * (a + b)
         # each integral's left halves, then its right halves
         new = np.concatenate([np.column_stack([a, mid]), np.column_stack([mid, b])])
         if len(keys) > 1:
             new = new[_in_turn(halves, halves)]
-        kept, held, counts, rounds = ~split, sizes - halves, 2 * halves, rounds + 1
+        counts, tols, rounds = 2 * halves, tols[live], rounds[live] + 1
         opened = []
-        while jobs and len(keys) < max_open:
+        while jobs and len(keys) < _MAX_OPEN:
             key, job = jobs.popleft()
             keys.append(key)
             opened.append(np.asarray(job, dtype=float).reshape(-1, 2))
@@ -144,7 +148,7 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int 
         ends = np.cumsum(counts).tolist()
         parts, lo, first = [], 0, 0
         for i, end in enumerate(ends):
-            if end - lo >= group_rows or i == len(ends) - 1:
+            if end - lo >= _GROUP_ROWS or i == len(ends) - 1:
                 parts.append(_gk_apply(rows, keys[first:i + 1], counts[first:i + 1], new[lo:end]))
                 lo, first = end, i + 1
         new_vals = np.concatenate([v for v, _ in parts])
@@ -153,12 +157,14 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int 
                                                               ends[len(tols):])]
         tols = np.concatenate([tols, [max(abs_tol, rel_tol * abs(float(np.real(s))))
                                       for s in firsts]])
-        panels = np.concatenate([panels[kept], new])
-        vals = np.concatenate([vals[kept], new_vals])
-        errs = np.concatenate([errs[kept], new_errs])
+        # the kept panels of the open integrals, then the new ones, each
+        # integral's gathered in turn
+        take = np.concatenate([kept, len(errs) + np.arange(len(new))])
         if len(keys) > 1:
-            order = _in_turn(held, counts)
-            panels, vals, errs = panels[order], vals[order], errs[order]
+            take = take[_in_turn(held, counts)]
+        panels = np.concatenate([panels, new]).take(take, axis=0)
+        vals = np.concatenate([vals, new_vals]).take(take)
+        errs = np.concatenate([errs, new_errs]).take(take)
         sizes = held + counts
 
 

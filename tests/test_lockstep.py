@@ -15,6 +15,7 @@ from modelspace import cli, harness, quadrature
 from modelspace.harness import (LpNormError, _certified_mass, _certified_masses,
                                 _mass_integrand, _random_model_functions, _shared_panels,
                                 bernstein_check, random_model_function, to_grid_function)
+from test_harness import _corpus_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,24 +43,18 @@ def _items(funcs, ps=(1.0, 2.0, 4.0)):
     return [(f, p, derivative) for p in ps for f in funcs for derivative in (True, False)]
 
 
-def _spec(name, request):
-    if name == "dense":
-        from test_clark import _dense_layout
-        return _dense_layout()
-    return request.getfixturevalue(name)
-
-
 @pytest.mark.parametrize("name", ["spec_one", "spec_two", "spec_pw", "dense"])
 def test_lockstep_masses_match_one_at_a_time(name, request, monkeypatch):
-    spec = _spec(name, request)
-    funcs = [random_model_function(spec, 5, seed=s) for s in (7, 8, 9)[:2 if name == "dense" else 3]]
+    spec = _corpus_spec(name, request)
+    seeds = (7, 8) if name == "dense" else (7, 8, 9)
+    funcs = [random_model_function(spec, 5, seed=s) for s in seeds]
     items = _items(funcs)
     want = _bits(_alone(items))
     with _shared_panels(spec):
         assert _bits(_certified_masses(items)) == want
     # a window and groups smaller than the corpus
-    monkeypatch.setattr(harness, "_OPEN_INTEGRALS", 4)
-    monkeypatch.setattr(harness, "_GROUP_ROWS", 64)
+    monkeypatch.setattr(quadrature, "_MAX_OPEN", 4)
+    monkeypatch.setattr(quadrature, "_GROUP_ROWS", 64)
     assert _bits(_certified_masses(items)) == want
     with _shared_panels(spec):
         assert _bits(_certified_masses(items[::-1])) == want[::-1]
@@ -72,7 +67,7 @@ def test_lockstep_escalates_like_one_at_a_time(spec_one, monkeypatch):
     monkeypatch.setattr(harness, "NORM_REL_TOL", 1e-9)
     want = _alone(items)
     assert {o[2] for o in want} == {2000.0, 8000.0, 32000.0}
-    monkeypatch.setattr(harness, "_OPEN_INTEGRALS", 3)
+    monkeypatch.setattr(quadrature, "_MAX_OPEN", 3)
     assert _bits(_certified_masses(items)) == _bits(want)
     # here p = 2 fails at the last radius, and so does p = 1 for some items
     monkeypatch.setattr(harness, "NORM_REL_TOL", 5e-11)
@@ -121,7 +116,7 @@ def test_corpus_of_200_keeps_the_window(spec_two, monkeypatch):
     seeds = list(range(1, 201))
     with _shared_panels(spec_two):
         funcs = _random_model_functions(spec_two, 5, seeds)
-    assert peak[0] == harness._OPEN_INTEGRALS
+    assert peak[0] == quadrature._MAX_OPEN
     for i in (0, 117, 199):
         alone = random_model_function(spec_two, 5, seeds[i])
         assert funcs[i].coefficients.tobytes() == alone.coefficients.tobytes()

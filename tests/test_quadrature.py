@@ -137,10 +137,14 @@ def test_relative_tolerance_is_the_rough_pass_folded_in():
         (two_pass.value, two_pass.error_bound, two_pass.panel_count)
 
 
-def test_lockstep_integrals_match_each_alone():
+def test_lockstep_integrals_match_each_alone(monkeypatch):
     from collections import deque
 
+    from modelspace import quadrature
     from modelspace.quadrature import _lockstep
+
+    monkeypatch.setattr(quadrature, "_MAX_OPEN", 3)
+    monkeypatch.setattr(quadrature, "_GROUP_ROWS", 40)
 
     shifts = np.linspace(-3.0, 3.0, 7)
     fns = [lambda x, s=s: np.exp(1j * x) / (1.0 + (x - s) ** 2) for s in shifts]
@@ -156,7 +160,7 @@ def test_lockstep_integrals_match_each_alone():
     jobs = deque([(0, layouts[0])])
     queued = {0}
     got = {}
-    for key, res in _lockstep(jobs, rows, 1e-12, 1e-9, max_open=3, group_rows=40):
+    for key, res in _lockstep(jobs, rows, 1e-12, 1e-9):
         got[key] = res
         # the caller queues more work as results come in
         for k in {key + 1, key + 2} - queued:
