@@ -136,8 +136,12 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int 
         opened = []
         while jobs and len(keys) < _MAX_OPEN:
             key, job = jobs.popleft()
+            job = np.asarray(job, dtype=float).reshape(-1, 2)
+            if not len(job):
+                yield key, QuadratureResult(0.0, 0.0, 0, 0.0 <= abs_tol)
+                continue
             keys.append(key)
-            opened.append(np.asarray(job, dtype=float).reshape(-1, 2))
+            opened.append(job)
         if not keys:
             return
         if opened:

@@ -114,6 +114,9 @@ def test_integrate_panels_reports_nonconvergence():
     assert smooth.converged
     assert smooth.require_converged("smooth") is smooth
     assert integrate_panels(f, np.array([[0.0, 1.0]]), abs_tol=math.inf).converged
+    # no panels: nothing to integrate
+    empty = integrate_panels(f, np.zeros((0, 2)), abs_tol=1e-10)
+    assert (empty.value, empty.error_bound, empty.panel_count, empty.converged) == (0.0, 0.0, 0, True)
 
 
 def test_initial_panels_over_the_budget_rejected():
