@@ -413,8 +413,9 @@ def test_readme_examples_match_with_one_blas_thread(tmp_path):
 TWO_ZEROS = {"tau": 0.0, "c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]}
 # sha256 of reports, generated_at line removed, for runs the README
 # examples miss: a kernel-method decay over three windows, a node CSV long
-# enough to span several write chunks (clark._CHUNK = 8192 rows), and a
-# phase-adapted density over unsorted deltas with a duplicate
+# enough to span several write chunks (clark._CHUNK = 8192 rows), a
+# phase-adapted density over unsorted deltas with a duplicate, and lemma
+# checks with a corpus, whose window_sup_budget row no README example has
 PINNED_RUNS = {
     "density_adapted": (
         {"command": "density", "inner": TWO_ZEROS,
@@ -434,6 +435,10 @@ PINNED_RUNS = {
         {"command": "nodes", "inner": TWO_ZEROS,
          "params": {"gamma": 1.3, "n_min": -9000, "n_max": 9000}},
         {"nodes.csv": "c8fbf147966a3718a01b3972dba5ff7ab7eb7142a7996a9174e30a92d63b32b9"}),
+    "lemma_checks_inner": (
+        {"command": "lemma-checks", "inner": TWO_ZEROS,
+         "params": {"size": 3, "deltas": [0.25, 1.0], "p": [1.0, 2.0]}},
+        {"lemma_checks.csv": "8308ddd78649429611ac49b50ac23505489e2e1a97f6459c7c61860b1b0ee372"}),
 }
 
 
