@@ -282,13 +282,12 @@ def _cmd_certify_sieve(config, out_dir):
     params = _as_params(config)
     deltas = _num_list(params, "deltas", (0.1, 0.5, 1.0, 2.0))
     p_list = _num_list(params, "p", (1.0, 2.0))
-    with harness._shared_panels(spec):
-        funcs, seed, count = _corpus(spec, params)
-        norms = harness._corpus_norms([(f, p, False) for p in p_list for f in funcs])
-        # the ratios do not depend on delta
-        worsts = [max(sieve.empirical_embedding_ratio(
-            harness.GridFunction(float(p), *next(norms), origin=f), measure, p)
-            for f in funcs) for p in p_list]
+    funcs, seed, count = _corpus(spec, params)
+    norms = harness._corpus_norms([(f, p, False) for p in p_list for f in funcs])
+    # the ratios do not depend on delta
+    worsts = [max(sieve.empirical_embedding_ratio(
+        harness.GridFunction(float(p), *next(norms), origin=f), measure, p)
+        for f in funcs) for p in p_list]
     violations = 0
     for p, worst in zip(p_list, worsts):
         rows = []
@@ -316,19 +315,18 @@ def _cmd_certify_bernstein(config, out_dir):
     p_list = _num_list(params, "p", (1.0, 2.0, 4.0))
     rows = []
     violations = 0
-    with harness._shared_panels(spec):
-        funcs, seed, count = _corpus(spec, params)
-        # bernstein_check's norms, f' before f, all in one pass
-        norms = harness._corpus_norms([(f, p, derivative) for p in p_list for f in funcs
-                                       for derivative in (True, False)])
-        for p in p_list:
-            worst = 0.0
-            for _ in funcs:
-                (lhs, _), (norm, _) = next(norms), next(norms)
-                worst = max(worst, lhs / (harness.derivative_sup_norm(spec) * norm))
-            if worst > 1.0 + VIOLATION_TOL:
-                violations += 1
-            rows.append((_fmt(p), _fmt(worst), _fmt(1.0 - worst)))
+    funcs, seed, count = _corpus(spec, params)
+    # bernstein_check's norms, f' before f, all in one pass
+    norms = harness._corpus_norms([(f, p, derivative) for p in p_list for f in funcs
+                                   for derivative in (True, False)])
+    for p in p_list:
+        worst = 0.0
+        for _ in funcs:
+            (lhs, _), (norm, _) = next(norms), next(norms)
+            worst = max(worst, lhs / (harness.derivative_sup_norm(spec) * norm))
+        if worst > 1.0 + VIOLATION_TOL:
+            violations += 1
+        rows.append((_fmt(p), _fmt(worst), _fmt(1.0 - worst)))
     _write_report(os.path.join(out_dir, "certify_bernstein.csv"),
                   {"command": "certify-bernstein", "corpus_size": len(funcs)},
                   ("p", "max_ratio", "margin"), rows)
@@ -373,15 +371,10 @@ def _cmd_lemma_checks(config, out_dir):
     rows.append(("fourth_power_bound", str(m_pairs), _fmt(worst)))
 
     if "inner" in config:
-        spec = _inner_spec(config)
-        worst = math.inf
-        with harness._shared_panels(spec):
-            funcs, _, _ = _corpus(spec, {**params, "size": _int(params, "size", 5)})
-            for f in funcs:
-                for delta in _num_list(params, "deltas", (0.25, 1.0)):
-                    for p in _num_list(params, "p", (1.0, 2.0)):
-                        left, right = harness.sup_sample_check(f, delta, p)
-                        worst = min(worst, right - left)
+        funcs, _, _ = _corpus(_inner_spec(config), {**params, "size": _int(params, "size", 5)})
+        checks = harness._sup_sample_checks(funcs, _num_list(params, "deltas", (0.25, 1.0)),
+                                            _num_list(params, "p", (1.0, 2.0)))
+        worst = min(right - left for left, right in checks)
         if worst < -VIOLATION_TOL:
             violations += 1
         rows.append(("window_sup_budget", str(len(funcs)), _fmt(worst)))

@@ -12,8 +12,6 @@ corpora reproduce bit-identically from (seed, count) across platforms.
 """
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import hashlib
 import json
 import math
@@ -37,6 +35,9 @@ _TAIL_WAVE = np.exp(1j * np.linspace(0.0, TWO_PI, _TAIL_SAMPLES, endpoint=False)
 # values and index that one panel table preallocates.
 _ROW = quadrature._XK.size
 _PANEL_BUDGET = 3 * 2**19
+
+# Most samples of one window-sup sum: 48 in each delta-window over [-640, 640].
+_WINDOW_SAMPLES = 2**20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -118,10 +119,11 @@ class _PanelTable:
     """Theta and phi' of one spec at 15-point Kronrod rows, keyed by the
     exact bits of each row.
 
-    The certified norms of a corpus start from the same panels and only
-    bisect them, so most rows recur.  Theta and phi' bits of a point do not
-    depend on the batch it is evaluated in, so a stored row holds exactly
-    what a fresh evaluation returns.  A row is stored with Theta only; its
+    The certified norms of one lockstep pass start from the same panels and
+    only bisect them, so most rows recur; _certified_masses keeps a table for
+    that pass alone.  Theta and phi' bits of a point do not depend on the
+    batch it is evaluated in, so a stored row holds exactly what a fresh
+    evaluation returns.  A row is stored with Theta only; its
     phi' (NaN until then) is filled the first time phi' is asked for, so
     f-only masses compute no phi'.  A row hashes to one cell of a
     direct-mapped index with about 4 to 8 cells per stored row; a hit needs the
@@ -183,38 +185,6 @@ class _PanelTable:
         return theta.reshape(-1), der.reshape(-1)
 
 
-_open_panels = contextvars.ContextVar("modelspace_panels", default=None)
-
-
-@contextlib.contextmanager
-def _shared_panels(spec: InnerFunctionSpec):
-    """Scope of one panel table for spec.
-
-    Inside it, KernelCombination of spec takes Theta and phi' at a real
-    (n, 15) array of Kronrod rows, as the certified norms hand them, from the
-    table.  The CLI opens it around building and certifying a corpus; the
-    table is dropped on exit, so nothing is kept across commands.  A spec
-    without zeros gets no table: Theta is then one complex exp and phi' the
-    constant c, cheaper than a table lookup.
-    """
-    token = _open_panels.set(_PanelTable(spec) if spec.zeros else None)
-    try:
-        yield
-    finally:
-        _open_panels.reset(token)
-
-
-def _theta_at(spec: InnerFunctionSpec, x, flat: np.ndarray, dphi: bool):
-    """(Theta, phi' or None) at flat, the points of x flattened: from the open
-    panel table of spec when x is a real array of Kronrod rows."""
-    table = _open_panels.get()
-    if (table is None or not isinstance(x, np.ndarray) or x.dtype != np.float64
-            or x.ndim != 2 or x.shape[1] != _ROW or not x.flags.c_contiguous
-            or table.spec != spec):
-        return evaluate(spec, flat), (phase_derivative(spec, flat) if dphi else None)
-    return table.values(x, dphi)
-
-
 @dataclass(eq=False)
 class KernelCombination:
     """f = sum_j coefficients[j] * k_{anchors[j]} with anchors in Im > 0."""
@@ -241,14 +211,13 @@ class KernelCombination:
     def __call__(self, z):
         """f at points of any shape; z is flattened for the kernel sums."""
         zz = np.asarray(z, dtype=complex).reshape(-1)
-        theta, _ = _theta_at(self.spec, z, zz, dphi=False)
-        return shaped_like(self._kernel_sum(zz, theta), z)
+        return shaped_like(self._kernel_sum(zz, evaluate(self.spec, zz)), z)
 
     def derivative(self, x):
         """Exact derivative on the real line via Theta' = i phi' Theta, at
         points of any shape."""
         xs = np.asarray(x, dtype=float).reshape(-1)
-        theta, dph = _theta_at(self.spec, x, xs, dphi=True)
+        theta, dph = evaluate(self.spec, xs), phase_derivative(self.spec, xs)
         return shaped_like(self._kernel_sum(xs, theta, dph), x)
 
     def _kernel_sum(self, z: np.ndarray, theta: np.ndarray, dph=None) -> np.ndarray:
@@ -535,9 +504,7 @@ def _mass_integrand(f: KernelCombination, p: float, derivative: bool):
     fn = f.derivative if derivative else f
 
     def values(x):
-        # whole Kronrod rows, which an open panel table serves
-        rows = x.reshape(-1, _ROW) if x.size % _ROW == 0 else x
-        return np.abs(fn(rows)) ** p
+        return np.abs(fn(x)) ** p
 
     m = p * profile.order
     if m < 1.5:
@@ -563,22 +530,28 @@ def _certified_masses(items) -> list:
     """(mass, uncertainty, radius) of _certified_mass for each (f, p,
     derivative) item, with its bits, or the exception it raises; the items
     share one spec and are certified in one lockstep quadrature.  Theta (and
-    phi' when an f' integral needs it) is taken once per group of rows; the
-    kernel sums, which round by batch, run on each integral's own rows.
+    phi' when an f' integral needs it) is taken once per group of rows, from
+    a panel table that lives for this pass; the kernel sums, which round by
+    batch, run on each integral's own rows.
     """
-    if len({f.spec for f, _, _ in items}) > 1:
+    spec = items[0][0].spec if items else None
+    if any(f.spec != spec for f, _, _ in items):
         raise ValueError("certified masses of one pass need a common spec")
+    # without zeros, Theta and phi' cost less than a table lookup
+    table = _PanelTable(spec) if items and spec.zeros else None
     out, setups, jobs = [None] * len(items), {}, deque()
     for k, (f, p, derivative) in enumerate(items):
         try:
             setups[k] = _mass_integrand(f, p, derivative)
-            jobs.append(((k, 0), _mass_panels(f.spec, _RADII[0])))
+            jobs.append(((k, 0), _mass_panels(spec, _RADII[0])))
         except (ValueError, ArithmeticError) as exc:
             out[k] = exc
 
     def rows(keys, counts, x):
         flat = x.reshape(-1)
-        theta, dphi = _theta_at(items[0][0].spec, x, flat, any(items[k][2] for k, _ in keys))
+        dphi = any(items[k][2] for k, _ in keys)
+        theta, dphi = (table.values(x, dphi) if table else
+                       (evaluate(spec, flat), phase_derivative(spec, flat) if dphi else None))
         vals = np.empty(flat.size)
         start = 0
         for (k, _), count in zip(keys, counts):
@@ -592,7 +565,7 @@ def _certified_masses(items) -> list:
 
     for (k, level), res in quadrature._lockstep(jobs, rows, 1e-13, _INTERIOR_REL_TOL):
         p, profile, _ = setups[k]
-        spec, radius = items[k][0].spec, _RADII[level]
+        radius = _RADII[level]
         try:
             mass, unc = _with_tail(res, profile, spec, p, radius)
             if _certified_at(mass, unc, radius):
@@ -684,27 +657,48 @@ def sup_sample_check(f: KernelCombination, delta: float, p: float):
     tail envelope (over-counting, which only strengthens the check);
     right = delta^{-1/p} ‖f‖_p + delta^{1-1/p} ‖f'‖_p.
     """
-    delta = float(delta)
-    p = float(p)
+    return next(_sup_sample_checks([f], [delta], [p]))
+
+
+def _sup_sample_checks(funcs, deltas, ps):
+    """(left, right) of sup_sample_check for each member, delta and distinct
+    p in turn.  Each ‖f‖_p and ‖f'‖_p is certified once, all in one lockstep
+    pass, and a failure raises where checking one at a time meets it first."""
+    ps = list(dict.fromkeys(float(p) for p in ps))
+    norms = _corpus_norms([(f, p, derivative) for f in funcs for p in ps
+                           for derivative in (False, True)])
+    for f in funcs:
+        budget = {}
+        for delta in map(float, deltas):
+            for p in ps:
+                left = _window_sup_sum(f, delta, p)
+                if p not in budget:
+                    budget[p] = next(norms)[0], next(norms)[0]
+                norm, dnorm = budget[p]
+                yield left, delta ** (-1.0 / p) * norm + delta ** (1.0 - 1.0 / p) * dnorm
+
+
+def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
+    """The left side of sup_sample_check; ValueError before any sampling
+    when it needs more than _WINDOW_SAMPLES samples."""
     if delta <= 0.0 or p < 1.0:
         raise ValueError("delta must be positive and p >= 1")
     profile = f.decay_profile()
     m = p * profile.order
     if m < 1.5:
         raise LpNormError("window-sup sum needs an integrable tail exponent")
-    hull = 640.0
+    hull, per = 640.0, 48
     k0 = max(2, int(math.ceil(hull / delta)))
-    per = 48
+    if 2 * k0 * per > _WINDOW_SAMPLES:
+        raise ValueError(f"window-sup sum at delta = {delta:g} needs {2 * k0 * per} samples, "
+                         f"more than {_WINDOW_SAMPLES}")
     xs = -k0 * delta + np.arange(2 * k0 * per) * (delta / per)
     vals = (np.abs(f(xs)) ** p).reshape(2 * k0, per)
     interior = float(vals.max(axis=1).sum())
     env = 1.05 * (abs(profile.lead_a) + abs(profile.lead_b)
                   + profile.next_scale / hull) / TWO_PI
     tail = 2.0 * env**p * delta**-m * (k0 - 1.0) ** (1.0 - m) / (m - 1.0)
-    left = (interior + tail) ** (1.0 / p)
-    right = delta ** (-1.0 / p) * lp_norm(f, p) \
-        + delta ** (1.0 - 1.0 / p) * derivative_lp_norm(f, p)
-    return left, right
+    return (interior + tail) ** (1.0 / p)
 
 
 @dataclass(eq=False)

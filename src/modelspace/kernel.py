@@ -138,59 +138,34 @@ def pw_oversample_kernel(kspec: SincKernelSpec, t):
     return shaped_like(out, t)
 
 
-def _shifted_product_panels(a: float, b: float, radius: float, inner_pad: float) -> np.ndarray:
-    lo, hi = min(a, b), max(a, b)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid + quadrature.two_sided_panels(half + radius, inner=half + inner_pad)
-
-
-def xi_product_integral(a: float, b: float, abs_tol: float = 5e-10) -> float:
+def xi_product_integral(a: float, b: float) -> float:
     """Integral of sinc^2(x-a) * sinc^2(x-b) over the line.
 
     Evaluated by adaptive quadrature on [min(a,b)-R, max(a,b)+R] with
     R = 1900.  Beyond that window both factors are bounded by their distance
     to the nearer shift, so each omitted tail is at most 2/(3 R^3) < 1e-10.
-    Raises QuadratureError when the quadrature falls short of abs_tol.
+    Raises QuadratureError when the quadrature falls short of 5e-10.
     """
-    a = float(a)
-    b = float(b)
-    panels = _shifted_product_panels(a, b, 1900.0, 20.0)
-
-    def f(x):
-        return sinc(x - a) ** 2 * sinc(x - b) ** 2
-
-    res = quadrature.integrate_panels(f, panels, abs_tol).require_converged("xi_product_integral")
-    return float(res.value)
+    return _xi_integrals([(a, b)], 1)[0]
 
 
-def xi_power_product_integral(a: float, b: float, m: int, abs_tol: float = 1e-9) -> float:
+def xi_power_product_integral(a: float, b: float, m: int) -> float:
     """Integral of sinc^{2m}(x-a) * sinc^{2m}(x-b) for m >= 2.
 
     The integrand decays like |x|^(-4m), so a radius of 40 keeps each tail
     below R^(1-4m)/(4m-1) < 1e-11.  Raises QuadratureError when the
-    quadrature falls short of abs_tol.
+    quadrature falls short of 1e-9.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
-    a = float(a)
-    b = float(b)
-    panels = _shifted_product_panels(a, b, 40.0, 20.0)
-    k = 2 * m
-
-    def f(x):
-        return sinc(x - a) ** k * sinc(x - b) ** k
-
-    res = quadrature.integrate_panels(f, panels, abs_tol).require_converged(
-        "xi_power_product_integral")
-    return float(res.value)
+    return _xi_integrals([(a, b)], m)[0]
 
 
 def _xi_integrals(pairs, m: int) -> list:
     """xi_product_integral (m = 1) or xi_power_product_integral at each
-    (a, b) of pairs, in one lockstep quadrature that keeps each value's bits
-    (the integrand is elementwise); raises the QuadratureError of the first
-    pair that falls short."""
+    (a, b) of pairs, in one lockstep quadrature that gives each value the
+    bits it has alone (the integrand is elementwise); raises the
+    QuadratureError of the first pair that falls short."""
     what, radius, abs_tol = (("xi_product_integral", 1900.0, 5e-10) if m == 1
                              else ("xi_power_product_integral", 40.0, 1e-9))
     ends = np.array(pairs, dtype=float).reshape(-1, 2)
@@ -201,7 +176,9 @@ def _xi_integrals(pairs, m: int) -> list:
         return (sinc(x.ravel() - np.repeat(ends[keys, 0], reps)) ** k
                 * sinc(x.ravel() - np.repeat(ends[keys, 1], reps)) ** k)
 
-    jobs = deque((i, _shifted_product_panels(a, b, radius, 20.0)) for i, (a, b) in enumerate(ends))
+    mids, halves = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * np.abs(ends[:, 1] - ends[:, 0])
+    jobs = deque((i, mid + quadrature.two_sided_panels(half + radius, inner=half + 20.0))
+                 for i, (mid, half) in enumerate(zip(mids, halves)))
     done = dict(quadrature._lockstep(jobs, rows, abs_tol))
     return [float(done[i].require_converged(what).value) for i in range(len(ends))]
 

@@ -38,7 +38,7 @@ _WG = np.array([
 ])
 
 
-# Largest default initial panelling of integrate.
+# Most initial panels of integrate.
 MAX_INITIAL_PANELS = 4096
 
 # Integrals a lockstep pass keeps open at once, and the least panels it
@@ -185,15 +185,14 @@ def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000,
     return result
 
 
-def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10, initial: int | None = None,
+def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
               max_panels: int = 60000) -> QuadratureResult:
-    """Integrate f over [lo, hi] with a uniform initial panelling: initial
-    panels, by default one per 4 units of length, at least 8 and at most
-    MAX_INITIAL_PANELS.  Raises ValueError when initial exceeds max_panels."""
+    """Integrate f over [lo, hi] from uniform panels, four per unit of
+    length, at least 8 and at most MAX_INITIAL_PANELS.  Raises ValueError
+    when those exceed max_panels."""
     if not hi > lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
-    if initial is None:
-        initial = int(min(MAX_INITIAL_PANELS, max(8, np.ceil((hi - lo) / 4.0))))
+    initial = min(MAX_INITIAL_PANELS, max(8, int((hi - lo) * 4)))
     if initial > max_panels:
         raise ValueError(f"{initial} initial panels exceed max_panels = {max_panels}")
     edges = np.linspace(lo, hi, initial + 1)

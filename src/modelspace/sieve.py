@@ -351,11 +351,8 @@ def empirical_embedding_ratio(f: GridFunction, measure: MeasureSpec, p: float) -
     for q in measure.pieces:
         if q.height == 0.0:
             continue
-        # four panels per unit length, capped as integrate caps its default
         res = quadrature.integrate(
             lambda t: np.abs(f.evaluate(t)) ** p, q.left, q.right,
-            abs_tol=1e-10 * max(1.0, f.norm ** p),
-            initial=min(quadrature.MAX_INITIAL_PANELS, max(8, int((q.right - q.left) * 4)))
-        ).require_converged("empirical_embedding_ratio")
+            abs_tol=1e-10 * max(1.0, f.norm ** p)).require_converged("empirical_embedding_ratio")
         num += q.height * float(np.real(res.value))
     return num / f.norm ** p

@@ -23,8 +23,8 @@ from modelspace.harness import (
     sup_sample_check,
     to_grid_function,
 )
-from modelspace.harness import (_alias_bounds, _certified_mass, _certified_norm, _p_mass,
-                                _shared_panels, _sharp_tail_terms, _tail_samples,
+from modelspace.harness import (_alias_bounds, _certified_mass, _certified_masses,
+                                _certified_norm, _p_mass, _sharp_tail_terms, _tail_samples,
                                 _tail_uncertainty)
 from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase, phase_arrays
 from modelspace.kernel import reproducing_kernel
@@ -333,6 +333,13 @@ def test_sup_sample_check_validation(spec_one):
                               coefficients=np.array([1.0 + 0j]))
     with pytest.raises(LpNormError):
         sup_sample_check(plain, 1.0, 1.0)
+
+
+def test_sup_sample_check_refuses_an_oversized_sampling(spec_one):
+    f = random_model_function(spec_one, 5, seed=2)
+    # 96 * 640e9 samples; the default deltas take at most 96 * 2560
+    with pytest.raises(ValueError, match=r"needs 61440000000000 samples, more than 1048576"):
+        sup_sample_check(f, 1e-9, 2.0)
 
 
 def cont_formula_derivative(f: KernelCombination, x: float) -> complex:
@@ -662,36 +669,43 @@ def _norm_bits(funcs, order):
     return out
 
 
-@pytest.mark.parametrize("name", ["spec_one", "spec_two", "spec_pw", "dense"])
-def test_panel_table_keeps_corpus_norm_bits(name, request):
-    spec = _corpus_spec(name, request)
-    funcs = [random_model_function(spec, 5, seed=s) for s in (7, 8, 9)]
-    plain = _norm_bits(funcs, [0, 1, 2])
-    with _shared_panels(spec):
-        shared = _norm_bits(funcs, [2, 0, 1])
-    assert shared == plain
+def _tables(monkeypatch):
+    """Every _PanelTable built from here on, in order."""
+    built = []
+    real = harness._PanelTable
+
+    def counted(spec):
+        built.append(real(spec))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_PanelTable", counted)
+    return built
 
 
-def test_spec_without_zeros_opens_no_panel_table(spec_pw):
-    import gc
+def _pass_bits(funcs, order):
+    """_norm_bits of the members in order, all certified in one lockstep pass."""
+    keys = [(i, p, derivative) for i in order for p in (1.0, 2.0, 4.0)
+            for derivative in (False, True)]
+    masses = _certified_masses([(funcs[i], p, derivative) for i, p, derivative in keys])
+    return {key: np.array([mass ** (1.0 / key[1]), unc]).view(np.uint64).tolist()
+            for key, (mass, unc, _) in zip(keys, masses)}
 
+
+def test_spec_without_zeros_opens_no_panel_table(spec_pw, monkeypatch):
     funcs = [random_model_function(spec_pw, 5, seed=s) for s in (7, 8)]
     plain = _norm_bits(funcs, [0, 1])
-    with _shared_panels(spec_pw):
-        gc.collect()
-        assert not any(isinstance(o, harness._PanelTable) for o in gc.get_objects())
-        shared = _norm_bits(funcs, [1, 0])
-    assert shared == plain
+    built = _tables(monkeypatch)
+    assert _pass_bits(funcs, [1, 0]) == plain
+    assert built == []
 
 
 def test_panel_table_full_after_a_few_rows_keeps_bits(spec_two, monkeypatch):
     funcs = [random_model_function(spec_two, 5, seed=s) for s in (7, 8)]
     plain = _norm_bits(funcs, [0, 1])
     monkeypatch.setattr(harness, "_PANEL_BUDGET", 3000)
-    with _shared_panels(spec_two):
-        table = harness._open_panels.get()
-        shared = _norm_bits(funcs, [1, 0])
-    assert shared == plain
+    built = _tables(monkeypatch)
+    assert _pass_bits(funcs, [1, 0]) == plain
+    (table,) = built
     assert len(table.keys) == table.size == 5
 
 
@@ -707,24 +721,21 @@ def _count_theta_points(monkeypatch):
     return points
 
 
-def test_panel_table_serves_only_kronrod_rows_of_its_spec(spec_one, spec_two, monkeypatch):
-    f = random_model_function(spec_two, 5, seed=5)
-    g = random_model_function(spec_one, 5, seed=5)
-    rows = np.linspace(-30.0, 30.0, 4 * 15).reshape(4, 15)
-    cases = [(f, rows), (f, rows.ravel()), (f, rows.T.copy()), (f, rows[:, ::-1]),
-             (f, rows + 0.25j), (f, 1.5), (g, rows)]
-    want = [(h(x), h.derivative(np.real(x))) for h, x in cases]
-    points = _count_theta_points(monkeypatch)
-    with _shared_panels(spec_two):
-        for (h, x), (val, der) in zip(cases, want):
-            assert np.array_equal(h(x), val) and np.array_equal(h.derivative(np.real(x)), der)
-        # the table holds its all-zero row and the four rows
-        assert harness._open_panels.get().size == 1 + 4
-    # f(rows) and f'(rows) come from the table, which evaluated its zero row
-    # and the four rows once; the rest, Re(rows + 0.25j) being a strided
-    # view, is evaluated as outside the scope
-    served = 2 * rows.size
-    assert points[0] == 2 * sum(np.size(x) for _, x in cases) - served + 15 + rows.size
+def test_panel_table_lives_for_one_lockstep_pass(spec_two, monkeypatch):
+    import gc
+    import weakref
+
+    f = random_model_function(spec_two, 5, seed=7)
+    built = _tables(monkeypatch)
+    lp_norm(f, 2.0)
+    derivative_lp_norm(f, 2.0)
+    assert built == []
+    _certified_masses([(f, 2.0, False), (f, 2.0, True)])
+    (table,) = built
+    kept = weakref.ref(table)
+    del table, built[:]
+    gc.collect()
+    assert kept() is None
 
 
 def test_norm_outside_a_corpus_command_evaluates_theta_at_every_point(spec_two, monkeypatch):
@@ -763,6 +774,5 @@ def test_cli_drops_the_panel_table(tmp_path, monkeypatch):
         assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
         runs.append(points[0])
         gc.collect()
-        assert harness._open_panels.get() is None
         assert not any(isinstance(o, harness._PanelTable) for o in gc.get_objects())
     assert runs[0] == runs[1] > 0

@@ -278,12 +278,13 @@ def test_higher_power_bound_table():
 
 
 def test_product_integrals_raise_when_quadrature_falls_short(monkeypatch):
-    real = quadrature.integrate_panels
+    real = quadrature._lockstep
 
     def short(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), converged=False)
+        for key, res in real(*args, **kwargs):
+            yield key, dataclasses.replace(res, converged=False)
 
-    monkeypatch.setattr(quadrature, "integrate_panels", short)
+    monkeypatch.setattr(quadrature, "_lockstep", short)
     with pytest.raises(QuadratureError, match="xi_product_integral"):
         xi_product_integral(0.0, 1.5)
     with pytest.raises(QuadratureError, match="xi_power_product_integral"):

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from modelspace import cli, harness, quadrature
+from modelspace.inner import from_dict
 from modelspace.harness import (LpNormError, _certified_mass, _certified_masses,
-                                _mass_integrand, _random_model_functions, _shared_panels,
-                                bernstein_check, random_model_function, to_grid_function)
+                                _mass_integrand, _random_model_functions,
+                                bernstein_check, random_model_function, sup_sample_check,
+                                to_grid_function)
 from test_harness import _corpus_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,14 +52,12 @@ def test_lockstep_masses_match_one_at_a_time(name, request, monkeypatch):
     funcs = [random_model_function(spec, 5, seed=s) for s in seeds]
     items = _items(funcs)
     want = _bits(_alone(items))
-    with _shared_panels(spec):
-        assert _bits(_certified_masses(items)) == want
+    assert _bits(_certified_masses(items)) == want
     # a window and groups smaller than the corpus
     monkeypatch.setattr(quadrature, "_MAX_OPEN", 4)
     monkeypatch.setattr(quadrature, "_GROUP_ROWS", 64)
     assert _bits(_certified_masses(items)) == want
-    with _shared_panels(spec):
-        assert _bits(_certified_masses(items[::-1])) == want[::-1]
+    assert _bits(_certified_masses(items[::-1])) == want[::-1]
 
 
 def test_lockstep_escalates_like_one_at_a_time(spec_one, monkeypatch):
@@ -114,8 +114,7 @@ def _track_open(monkeypatch):
 def test_corpus_of_200_keeps_the_window(spec_two, monkeypatch):
     peak = _track_open(monkeypatch)
     seeds = list(range(1, 201))
-    with _shared_panels(spec_two):
-        funcs = _random_model_functions(spec_two, 5, seeds)
+    funcs = _random_model_functions(spec_two, 5, seeds)
     assert peak[0] == quadrature._MAX_OPEN
     for i in (0, 117, 199):
         alone = random_model_function(spec_two, 5, seeds[i])
@@ -178,6 +177,29 @@ def test_sieve_failure_names_the_first_failing_item(tmp_path, spec_one, capsys):
     assert capsys.readouterr().err == f"error: {alone.value}\n"
 
 
+@pytest.mark.parametrize("inner, count, deltas", [
+    # at p = 1 the window-sup sum and both norms have too slow a tail; the
+    # sum fails first
+    (ONE_ZERO, 2, [1.0, 0.5]),
+    # at c = 0 the derivative norm fails before the oversized second delta
+    ({"c": 0.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]}, 2, [1.0, 1e-9]),
+], ids=["slow_tail", "exponential_type_zero"])
+def test_lemma_checks_failure_names_the_first_failing_item(tmp_path, capsys, inner, count,
+                                                          deltas):
+    cfg = {"command": "lemma-checks", "inner": inner,
+           "params": {"p": [2, 1], "deltas": deltas, "size": 2, "count": count, "seed": 5,
+                      "pairs": 2, "m_pairs": 2}}
+    spec = from_dict(inner)
+    funcs = [random_model_function(spec, count, 5 + 1000 * i) for i in range(2)]
+    with pytest.raises((ValueError, ArithmeticError)) as alone:
+        for f in funcs:
+            for delta in deltas:
+                for p in (2.0, 1.0):
+                    sup_sample_check(f, delta, p)
+    assert _run(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == f"error: {alone.value}\n"
+
+
 def test_certify_sieve_computes_no_phase_derivative(tmp_path, monkeypatch):
     calls = []
     real = harness.phase_derivative
@@ -196,16 +218,17 @@ def test_certify_sieve_computes_no_phase_derivative(tmp_path, monkeypatch):
 
 
 def test_panel_table_fills_phase_derivative_on_demand(spec_two):
-    f = random_model_function(spec_two, 5, seed=5)
     rows = np.linspace(-30.0, 30.0, 4 * 15).reshape(4, 15)
-    want = f.derivative(rows)
-    with _shared_panels(spec_two):
-        table = harness._open_panels.get()
-        f(rows)
-        assert np.isnan(table.dphi[1:table.size]).all()
-        assert np.array_equal(f.derivative(rows), want)
+    theta = harness.evaluate(spec_two, rows).ravel()
+    dphi = harness.phase_derivative(spec_two, rows).ravel()
+    table = harness._PanelTable(spec_two)
+    got, none = table.values(rows, False)
+    assert np.array_equal(got, theta) and none is None
+    assert table.size == 1 + 4 and np.isnan(table.dphi[1:table.size]).all()
+    for _ in range(2):
+        got, der = table.values(rows, True)
+        assert np.array_equal(got, theta) and np.array_equal(der, dphi)
         assert not np.isnan(table.dphi[1:table.size]).any()
-        assert np.array_equal(f.derivative(rows), want)
 
 
 def test_benchmark_tracer_binds_the_certification_path(tmp_path, spec_one):

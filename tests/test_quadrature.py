@@ -120,8 +120,11 @@ def test_integrate_panels_reports_nonconvergence():
 
 
 def test_initial_panels_over_the_budget_rejected():
-    with pytest.raises(ValueError, match="max_panels"):
-        integrate(lambda x: x, 0.0, 1.0, initial=101, max_panels=100)
+    # four initial panels per unit of length, at least 8
+    with pytest.raises(ValueError, match="101 initial panels exceed max_panels = 100"):
+        integrate(lambda x: x, 0.0, 25.25, max_panels=100)
+    with pytest.raises(ValueError, match="8 initial panels exceed max_panels = 7"):
+        integrate(lambda x: x, 0.0, 1.0, max_panels=7)
     # the default panelling stays within MAX_INITIAL_PANELS
     res = integrate(lambda x: np.exp(-x), 0.0, 1e6, abs_tol=1e-10)
     assert res.value == pytest.approx(1.0, rel=1e-12)

@@ -405,16 +405,23 @@ def test_embedding_ratio_raises_when_quadrature_falls_short(spec_two, monkeypatc
 
 @pytest.fixture
 def initial_panels(monkeypatch):
-    """The initial panel counts quadrature.integrate is asked for; more than
-    4096 fails before any panel is allocated (a piece of length L once asked
-    for 4 L, which ran out of memory from about L = 1e5)."""
-    real = quadrature.integrate
+    """The initial panel counts of each quadrature.integrate call; more than
+    4096 fails (a piece of length L once asked for 4 L, which ran out of
+    memory from about L = 1e5)."""
+    real, real_panels = quadrature.integrate, quadrature.integrate_panels
     asked = []
 
-    def capped(f, lo, hi, *args, initial=None, **kwargs):
-        asked.append(initial)
-        assert initial is None or initial <= 4096, f"{initial} initial panels"
-        return real(f, lo, hi, *args, initial=initial, **kwargs)
+    def counted(f, panels, *args, **kwargs):
+        asked.append(len(panels))
+        assert len(panels) <= 4096, f"{len(panels)} initial panels"
+        return real_panels(f, panels, *args, **kwargs)
+
+    def capped(*args, **kwargs):
+        monkeypatch.setattr(quadrature, "integrate_panels", counted)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(quadrature, "integrate_panels", real_panels)
 
     monkeypatch.setattr(quadrature, "integrate", capped)
     return asked
