@@ -681,8 +681,8 @@ def _sup_sample_checks(funcs, deltas, ps):
 def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     """The left side of sup_sample_check; ValueError before any sampling
     when it needs more than _WINDOW_SAMPLES samples."""
-    if delta <= 0.0 or p < 1.0:
-        raise ValueError("delta must be positive and p >= 1")
+    if not (0.0 < delta < math.inf and 1.0 <= p < math.inf):
+        raise ValueError("delta must be positive and p >= 1, both finite")
     profile = f.decay_profile()
     m = p * profile.order
     if m < 1.5:

@@ -325,10 +325,10 @@ def test_sup_sample_check_holds(spec_two):
 
 def test_sup_sample_check_validation(spec_one):
     f = random_model_function(spec_one, 5, seed=2)
-    with pytest.raises(ValueError):
-        sup_sample_check(f, -1.0, 2.0)
-    with pytest.raises(ValueError):
-        sup_sample_check(f, 1.0, 0.5)
+    for delta, p in ((-1.0, 2.0), (1.0, 0.5), (math.inf, 2.0), (math.nan, 2.0),
+                     (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="both finite"):
+            sup_sample_check(f, delta, p)
     plain = KernelCombination(spec=spec_one, anchors=np.array([1j]),
                               coefficients=np.array([1.0 + 0j]))
     with pytest.raises(LpNormError):
