@@ -419,17 +419,25 @@ def test_readme_examples_match_with_one_blas_thread(tmp_path):
 
 
 TWO_ZEROS = {"tau": 0.0, "c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]}
+ATOMS_AND_PIECES = {"atoms": [{"x": 0.3, "mass": 1.0}, {"x": 2.5, "mass": 0.5}],
+                    "pieces": [{"l": -1.0, "r": 0.0, "h": 0.8}, {"l": 1.0, "r": 1.75, "h": 1.2}]}
 # sha256 of reports, generated_at line removed, for runs the README
 # examples miss: a kernel-method decay over three windows, a node CSV long
 # enough to span several write chunks (clark._CHUNK = 8192 rows), a
-# phase-adapted density over unsorted deltas with a duplicate, and lemma
-# checks with a corpus, whose window_sup_budget row no README example has
+# phase-adapted density over unsorted deltas with a duplicate, lemma
+# checks with a corpus, whose window_sup_budget row no README example has,
+# and a sieve certificate whose measure has atoms as well as pieces
 PINNED_RUNS = {
+    "certify_sieve_atoms": (
+        {"command": "certify-sieve", "inner": ONE_ZERO, "measure": ATOMS_AND_PIECES,
+         "params": {"size": 3, "p": [1.0, 2.0, 4.0]}},
+        {"certify_sieve_manifest.json":
+             "f322a8258238fa34a1c79fc4025a151c871a7be2c04cccfc53a05d45b0e491d6",
+         "certify_sieve_p1.csv": "3599025f53cd6709525380943b70ed71444769feff072f7872a7833fdcc6d6f5",
+         "certify_sieve_p2.csv": "19df68b8f98246c253f53ebc703fff4b16655a976e5e95a10e364d2842d67c28",
+         "certify_sieve_p4.csv": "1da28d934f55ce9668d3b9e75f53b25f0b01f21478ab8aa17d5837873688f579"}),
     "density_adapted": (
-        {"command": "density", "inner": TWO_ZEROS,
-         "measure": {"atoms": [{"x": 0.3, "mass": 1.0}, {"x": 2.5, "mass": 0.5}],
-                     "pieces": [{"l": -1.0, "r": 0.0, "h": 0.8},
-                                {"l": 1.0, "r": 1.75, "h": 1.2}]},
+        {"command": "density", "inner": TWO_ZEROS, "measure": ATOMS_AND_PIECES,
          "params": {"deltas": [4.0, 0.5, 1.5, 0.25, 1.5], "adapted": True}},
         {"density.csv": "05c6e41f1c44610a24d8c64d241313c6c6aa40ab38968895ccbd9bb326f891e7"}),
     "decay_kernel": (
