@@ -285,9 +285,8 @@ def _cmd_certify_sieve(config, out_dir):
     funcs, seed, count = _corpus(spec, params)
     norms = harness._corpus_norms([(f, p, False) for p in p_list for f in funcs])
     # the ratios do not depend on delta
-    worsts = [max(sieve.empirical_embedding_ratio(
-        harness.GridFunction(float(p), *next(norms), origin=f), measure, p)
-        for f in funcs) for p in p_list]
+    worsts = [max(sieve.empirical_embedding_ratio(f, measure, p, next(norms)[0])
+                  for f in funcs) for p in p_list]
     violations = 0
     for p, worst in zip(p_list, worsts):
         rows = []
@@ -347,28 +346,24 @@ def _cmd_lemma_checks(config, out_dir):
     rows = []
     violations = 0
 
-    # the draws do not depend on the integrals, which run in one lockstep pass
-    draws = []
-    for _ in range(pairs):
-        a = -15.0 + 30.0 * rng.uniform()
-        draws.append((a, 30.0 * rng.uniform()))
-    worst = math.inf
-    for (_, gap), val in zip(draws, _xi_integrals([(a, a + gap) for a, gap in draws], 1)):
-        worst = min(worst, 8.0 * math.pi / (4.0 + gap * gap) - val)
-    if worst < -VIOLATION_TOL:
-        violations += 1
-    rows.append(("squared_product_bound", str(pairs), _fmt(worst)))
-
-    draws = []
-    for _ in range(m_pairs):
-        a = -10.0 + 20.0 * rng.uniform()
-        draws.append((a, 12.0 * rng.uniform()))
-    worst = math.inf
-    for (_, gap), val in zip(draws, _xi_integrals([(a, a + gap) for a, gap in draws], 2)):
-        worst = min(worst, higher_power_bound(2, gap) - val)
-    if worst < -VIOLATION_TOL:
-        violations += 1
-    rows.append(("fourth_power_bound", str(m_pairs), _fmt(worst)))
+    # name, pairs, a in [lo, lo + width), gap in [0, reach), the m of the
+    # integral of sinc^2m(x - a) sinc^2m(x - a - gap), and its bound
+    checks = (("squared_product_bound", pairs, -15.0, 30.0, 30.0, 1,
+               lambda gap: 8.0 * math.pi / (4.0 + gap * gap)),
+              ("fourth_power_bound", m_pairs, -10.0, 20.0, 12.0, 2,
+               lambda gap: higher_power_bound(2, gap)))
+    for name, cases, lo, width, reach, power, bound in checks:
+        # the draws do not depend on the integrals, which run in one lockstep pass
+        draws = []
+        for _ in range(cases):
+            a = lo + width * rng.uniform()
+            draws.append((a, reach * rng.uniform()))
+        worst = math.inf
+        for (_, gap), val in zip(draws, _xi_integrals([(a, a + gap) for a, gap in draws], power)):
+            worst = min(worst, bound(gap) - val)
+        if worst < -VIOLATION_TOL:
+            violations += 1
+        rows.append((name, str(cases), _fmt(worst)))
 
     if "inner" in config:
         funcs, _, _ = _corpus(_inner_spec(config), {**params, "size": _int(params, "size", 5)})

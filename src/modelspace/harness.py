@@ -43,9 +43,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 __all__ = ["SplitMix64", "LpNormError", "DecayProfile", "KernelCombination",
-           "GridFunction", "random_model_function", "lp_norm", "derivative_lp_norm",
-           "bernstein_check", "sup_sample_check", "to_grid_function", "spec_hash",
-           "corpus_manifest"]
+           "random_model_function", "lp_norm", "derivative_lp_norm",
+           "bernstein_check", "sup_sample_check", "spec_hash", "corpus_manifest"]
 
 
 class LpNormError(ArithmeticError):
@@ -688,9 +687,10 @@ def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     if m < 1.5:
         raise LpNormError("window-sup sum needs an integrable tail exponent")
     hull, per = 640.0, 48
-    k0 = max(2, int(math.ceil(hull / delta)))
+    windows = hull / delta  # infinite for a subnormal delta
+    k0 = max(2, math.ceil(windows)) if windows < math.inf else math.inf
     if 2 * k0 * per > _WINDOW_SAMPLES:
-        raise ValueError(f"window-sup sum at delta = {delta:g} needs {2 * k0 * per} samples, "
+        raise ValueError(f"window-sup sum at delta = {delta!r} needs {2 * k0 * per} samples, "
                          f"more than {_WINDOW_SAMPLES}")
     xs = -k0 * delta + np.arange(2 * k0 * per) * (delta / per)
     vals = (np.abs(f(xs)) ** p).reshape(2 * k0, per)
@@ -699,36 +699,6 @@ def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
                   + profile.next_scale / hull) / TWO_PI
     tail = 2.0 * env**p * delta**-m * (k0 - 1.0) ** (1.0 - m) / (m - 1.0)
     return (interior + tail) ** (1.0 / p)
-
-
-@dataclass(eq=False)
-class GridFunction:
-    """A function with its certified L^p norm.
-
-    tail_bound is the certified bound on mass unaccounted for by
-    norm**p (quadrature error + tail estimate uncertainty).  origin, when
-    present, is the generating callable that evaluate calls.
-    """
-
-    p: float
-    norm: float
-    tail_bound: float
-    origin: KernelCombination | None = None
-
-    def __post_init__(self):
-        if not self.norm >= 0.0:
-            raise ValueError("norm must be nonnegative")
-
-    def evaluate(self, x):
-        if self.origin is None:
-            raise ValueError("grid function has no attached generator for evaluation")
-        return self.origin(x)
-
-
-def to_grid_function(f: KernelCombination, p: float) -> GridFunction:
-    """Attach its certified L^p norm to a combination."""
-    norm, unc = _certified_norm(f, p, derivative=False)
-    return GridFunction(p=float(p), norm=norm, tail_bound=unc, origin=f)
 
 
 def spec_hash(spec: InnerFunctionSpec) -> str:

@@ -12,6 +12,7 @@ length (real or complex).
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,8 +39,10 @@ _WG = np.array([
 ])
 
 
-# Most initial panels of integrate.
+# Most initial panels of integrate, and most panels of one integral, past
+# which refinement stops unconverged.
 MAX_INITIAL_PANELS = 4096
+MAX_PANELS = 60000
 
 # Integrals a lockstep pass keeps open at once, and the least panels it
 # evaluates in one group of whole integrals: both bound its memory.
@@ -86,7 +89,7 @@ def _in_turn(*counts) -> np.ndarray:
     return np.argsort(label, kind="stable")
 
 
-def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int = 60000):
+def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
     """Adaptive GK15 integrals in lockstep; yields (key, QuadratureResult) as
     each finishes.
 
@@ -114,7 +117,7 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int 
         halves = np.add.reduceat(split, starts, dtype=np.intp)
         # round cap is generous: oscillatory integrands can need hundreds of
         # small rounds when one stubborn panel keeps the split threshold high
-        done = (totals <= tols) | (sizes >= max_panels) | (rounds >= 512) | (halves == 0)
+        done = (totals <= tols) | (sizes >= MAX_PANELS) | (rounds >= 512) | (halves == 0)
         for i in np.flatnonzero(done):
             value = vals[starts[i]:starts[i] + sizes[i]].sum()
             yield keys[i], QuadratureResult(value if np.iscomplexobj(value) else float(value),
@@ -172,32 +175,29 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0, max_panels: int 
         sizes = held + counts
 
 
-def integrate_panels(f, panels, abs_tol: float, max_panels: int = 60000,
-                     rel_tol: float = 0.0) -> QuadratureResult:
+def integrate_panels(f, panels, abs_tol: float, rel_tol: float = 0.0) -> QuadratureResult:
     """Integrate f over a union of panels, refining until the summed GK error
-    estimate drops below the tolerance or the panel budget is exhausted.  The
+    estimate drops below the tolerance or MAX_PANELS is reached.  The
     tolerance is abs_tol, or rel_tol |Re I1| when that is larger, I1 being
     the estimate from the given panels.  The result's converged flag is False
     when refinement stopped short of the tolerance (panel budget, round cap or
     floating-point width)."""
     ((_, result),) = _lockstep(deque([(None, panels)]), lambda keys, counts, x: f(x.ravel()),
-                               abs_tol, rel_tol, max_panels)
+                               abs_tol, rel_tol)
     return result
 
 
-def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10,
-              max_panels: int = 60000) -> QuadratureResult:
+def integrate(f, lo: float, hi: float, abs_tol: float = 1e-10) -> QuadratureResult:
     """Integrate f over [lo, hi] from uniform panels, four per unit of
     length, at least 8 and at most MAX_INITIAL_PANELS.  Raises ValueError
-    when those exceed max_panels."""
+    when lo, hi or hi - lo is not finite."""
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"integration range [{lo}, {hi}] is not finite")
     if not hi > lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
     initial = min(MAX_INITIAL_PANELS, max(8, int((hi - lo) * 4)))
-    if initial > max_panels:
-        raise ValueError(f"{initial} initial panels exceed max_panels = {max_panels}")
     edges = np.linspace(lo, hi, initial + 1)
-    return integrate_panels(f, np.column_stack([edges[:-1], edges[1:]]), abs_tol,
-                            max_panels=max_panels)
+    return integrate_panels(f, np.column_stack([edges[:-1], edges[1:]]), abs_tol)
 
 
 def two_sided_panels(radius: float, inner: float = 16.0) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import quadrature
 from .clark import invert_phase
-from .harness import GridFunction
 from .inner import InnerFunctionSpec, _phase_values, _require_number, derivative_sup_norm
 from .kernel import sinc
 
@@ -332,27 +331,26 @@ def nyquist_density(set_pieces, c: float) -> float:
     return 2.0 * c * delta * d_mu(measure, delta).value
 
 
-def empirical_embedding_ratio(f: GridFunction, measure: MeasureSpec, p: float) -> float:
-    """integral of |f|^p against the measure, divided by ‖f‖_p^p.
+def empirical_embedding_ratio(f, measure: MeasureSpec, p: float, norm: float) -> float:
+    """integral of |f|^p against the measure, divided by norm**p, where norm
+    is the certified ‖f‖_p of the callable f.
 
     Raises QuadratureError when a density piece's quadrature falls short of
     its tolerance.
     """
     p = float(p)
-    if p != f.p:
-        raise ValueError(f"grid function certifies p = {f.p}, requested p = {p}")
-    if not f.norm > 0.0:
+    if not norm > 0.0:
         raise ZeroNormError("embedding ratio needs a nonzero certified norm")
     num = 0.0
     if measure.atoms:
         spots = np.array([a.position for a in measure.atoms])
         weights = np.array([a.mass for a in measure.atoms])
-        num += float(weights @ (np.abs(f.evaluate(spots)) ** p))
+        num += float(weights @ (np.abs(f(spots)) ** p))
     for q in measure.pieces:
         if q.height == 0.0:
             continue
         res = quadrature.integrate(
-            lambda t: np.abs(f.evaluate(t)) ** p, q.left, q.right,
-            abs_tol=1e-10 * max(1.0, f.norm ** p)).require_converged("empirical_embedding_ratio")
+            lambda t: np.abs(f(t)) ** p, q.left, q.right,
+            abs_tol=1e-10 * max(1.0, norm ** p)).require_converged("empirical_embedding_ratio")
         num += q.height * float(np.real(res.value))
-    return num / f.norm ** p
+    return num / norm ** p

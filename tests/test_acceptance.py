@@ -16,7 +16,6 @@ from modelspace.harness import (
     bernstein_check,
     lp_norm,
     random_model_function,
-    to_grid_function,
 )
 from modelspace.inner import derivative_sup_norm, enlarge, phase_arrays
 from test_harness import cont_formula_derivative
@@ -190,9 +189,9 @@ def test_a4_embedding_certification(all_specs, corpus_measures, corpus):
         dsup = derivative_sup_norm(spec)
         for f in corpus[si]:
             for p in p_values:
-                gf = to_grid_function(f, p)
+                norm = lp_norm(f, p)
                 for mi, mu in enumerate(corpus_measures):
-                    ratio = sieve.empirical_embedding_ratio(gf, mu, p)
+                    ratio = sieve.empirical_embedding_ratio(f, mu, p, norm)
                     for d in deltas:
                         bound = (1.0 + d * dsup) ** p * densities[(mi, d)]
                         checks += 1
@@ -296,9 +295,9 @@ def test_a6_adapted_density(all_specs, corpus_measures, corpus):
     p = 2.0
     for si, spec in ((1, spec_one), (2, spec_two)):
         for f in corpus[si][:10]:
-            gf = to_grid_function(f, p)
+            norm = lp_norm(f, p)
             for mi, mu in enumerate(corpus_measures):
-                ratio = sieve.empirical_embedding_ratio(gf, mu, p)
+                ratio = sieve.empirical_embedding_ratio(f, mu, p, norm)
                 for d in deltas:
                     quotient = ratio / adapted_density[(si, mi, d)]
                     worst_quotient = max(worst_quotient, quotient)

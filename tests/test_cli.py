@@ -350,6 +350,14 @@ def test_lemma_checks_refuse_an_oversized_sampling(tmp_path, capsys):
     assert err.startswith("error: ") and "samples, more than 1048576" in err
 
 
+def test_lemma_checks_refuse_a_subnormal_delta(tmp_path, capsys):
+    cfg = {"command": "lemma-checks", "inner": ONE_ZERO,
+           "params": {"size": 1, "deltas": [1e-320], "p": [2], "pairs": 1, "m_pairs": 1}}
+    assert run_cli(tmp_path, cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window-sup sum at delta = 1e-320 needs inf samples")
+
+
 def test_certify_sieve_deterministic(tmp_path):
     cfg = {"command": "certify-sieve", "inner": ONE_ZERO, "measure": ATOM,
            "params": {"size": 2, "count": 3, "deltas": [0.5], "p": [2.0]}}

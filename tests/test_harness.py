@@ -10,7 +10,6 @@ from modelspace import harness, quadrature
 from modelspace.harness import (
     NORM_REL_TOL,
     DecayProfile,
-    GridFunction,
     KernelCombination,
     LpNormError,
     SplitMix64,
@@ -21,7 +20,6 @@ from modelspace.harness import (
     random_model_function,
     spec_hash,
     sup_sample_check,
-    to_grid_function,
 )
 from modelspace.harness import (_alias_bounds, _certified_mass, _certified_masses,
                                 _certified_norm, _p_mass, _sharp_tail_terms, _tail_samples,
@@ -342,6 +340,14 @@ def test_sup_sample_check_refuses_an_oversized_sampling(spec_one):
         sup_sample_check(f, 1e-9, 2.0)
 
 
+@pytest.mark.parametrize("delta", [1e-320, 5e-324])
+def test_sup_sample_check_refuses_a_subnormal_delta(spec_one, delta):
+    # 640 / delta overflows to inf, which has no ceiling to count samples by
+    f = random_model_function(spec_one, 5, seed=2)
+    with pytest.raises(ValueError, match=rf"delta = {delta!r} needs inf samples, more than 1048576"):
+        sup_sample_check(f, delta, 2.0)
+
+
 def cont_formula_derivative(f: KernelCombination, x: float) -> complex:
     """Derivative via the boundary-integral identity
     f'(x) = 2 pi i * integral of f(t) k_t(x)^2 dt over the line, a
@@ -384,16 +390,14 @@ def test_cont_formula_derivative_matches_exact(spec_one, spec_two):
             assert via_integral == pytest.approx(exact, rel=1e-5, abs=1e-9)
 
 
-# --------------------------------------------------------------- grid freeze
+# ------------------------------------------------------------ norm certificate
 
-def test_to_grid_function_certificate(spec_two):
+def test_certified_norm_certificate(spec_two):
     f = random_model_function(spec_two, 5, seed=14)
     for p in (1.0, 2.0):
-        gf = to_grid_function(f, p)
-        assert gf.p == p
-        assert gf.origin is f
+        norm, tail_bound = _certified_norm(f, p, derivative=False)
         # certification gate
-        assert gf.tail_bound <= NORM_REL_TOL * gf.norm ** p
+        assert tail_bound <= NORM_REL_TOL * norm ** p
         # the interior quadrature reproduces the p-mass: the gap to the
         # certified mass is exactly the analytic tail estimate, small and
         # nonnegative
@@ -403,17 +407,9 @@ def test_to_grid_function_certificate(spec_two):
         assert -1e-12 <= gap <= 1e-2 * mass
         assert unc >= res.error_bound
         assert radius >= 2000.0
-        assert gf.norm ** p == pytest.approx(mass, rel=1e-15)
-        assert gf.tail_bound == unc
-        assert gf.evaluate(0.37) == pytest.approx(complex(f(0.37)), rel=1e-13)
-
-
-def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(p=2.0, norm=-1.0, tail_bound=0.0)
-    bare = GridFunction(p=2.0, norm=1.0, tail_bound=0.0)
-    with pytest.raises(ValueError):
-        bare.evaluate(0.0)
+        assert norm ** p == pytest.approx(mass, rel=1e-15)
+        assert norm == lp_norm(f, p)
+        assert tail_bound == unc
 
 
 # ------------------------------------------------------------- reproducibility

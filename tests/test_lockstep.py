@@ -15,8 +15,8 @@ from modelspace import cli, harness, quadrature
 from modelspace.inner import from_dict
 from modelspace.harness import (LpNormError, _certified_mass, _certified_masses,
                                 _mass_integrand, _random_model_functions,
-                                bernstein_check, random_model_function, sup_sample_check,
-                                to_grid_function)
+                                bernstein_check, lp_norm, random_model_function,
+                                sup_sample_check)
 from test_harness import _corpus_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -172,7 +172,7 @@ def test_sieve_failure_names_the_first_failing_item(tmp_path, spec_one, capsys):
     with pytest.raises(LpNormError) as alone:
         for p in (2.0, 1.0):
             for f in funcs:
-                to_grid_function(f, p)
+                lp_norm(f, p)
     assert _run(tmp_path, cfg) == 1
     assert capsys.readouterr().err == f"error: {alone.value}\n"
 

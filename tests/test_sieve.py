@@ -8,7 +8,7 @@ import pytest
 import oracles
 from modelspace import quadrature
 from modelspace.clark import invert_phase
-from modelspace.harness import GridFunction, random_model_function, to_grid_function
+from modelspace.harness import lp_norm, random_model_function
 from modelspace.inner import InnerFunctionSpec, BlaschkeZero, phase_arrays
 from modelspace.kernel import sinc
 from modelspace.quadrature import QuadratureError
@@ -354,44 +354,43 @@ def test_nyquist_density_values():
 # ----------------------------------------------------------- embedding ratios
 
 def test_embedding_ratio_lebesgue_recovers_norm(spec_two):
-    f = to_grid_function(random_model_function(spec_two, 5, seed=4), 2.0)
+    f = random_model_function(spec_two, 5, seed=4)
     mu = MeasureSpec(pieces=(DensityPiece(-60.0, 60.0, 1.0),))
-    ratio = empirical_embedding_ratio(f, mu, 2.0)
+    ratio = empirical_embedding_ratio(f, mu, 2.0, lp_norm(f, 2.0))
     assert 0.98 <= ratio <= 1.0 + 1e-9
 
 
 def test_embedding_ratio_atoms(spec_one):
-    f = to_grid_function(random_model_function(spec_one, 5, seed=6), 2.0)
+    f = random_model_function(spec_one, 5, seed=6)
+    norm = lp_norm(f, 2.0)
     mu = MeasureSpec(atoms=(MassAtom(0.0, 1.0), MassAtom(0.6, 2.0)))
-    want = abs(f.evaluate(0.0)) ** 2 + 2.0 * abs(f.evaluate(0.6)) ** 2
-    assert empirical_embedding_ratio(f, mu, 2.0) == pytest.approx(want, rel=1e-9)
+    want = (abs(f(0.0)) ** 2 + 2.0 * abs(f(0.6)) ** 2) / norm ** 2
+    assert empirical_embedding_ratio(f, mu, 2.0, norm) == pytest.approx(want, rel=1e-9)
 
 
 def test_embedding_ratio_respects_certified_bound(spec_one):
-    f = to_grid_function(random_model_function(spec_one, 5, seed=7), 2.0)
+    f = random_model_function(spec_one, 5, seed=7)
     mu = MeasureSpec(atoms=(MassAtom(0.0, 1.0),))
     delta = 0.5
     dens = d_mu_theta(mu, spec_one, delta).value
-    ratio = empirical_embedding_ratio(f, mu, 2.0)
+    ratio = empirical_embedding_ratio(f, mu, 2.0, lp_norm(f, 2.0))
     assert ratio <= model_sieve_bound(spec_one, delta, dens, 2.0) + 1e-9
 
 
 def test_embedding_ratio_argument_checks(spec_one):
-    f = to_grid_function(random_model_function(spec_one, 4, seed=2), 2.0)
-    with pytest.raises(ValueError):
-        empirical_embedding_ratio(f, MeasureSpec(), 1.0)  # p mismatch
-    dead = GridFunction(p=2.0, norm=0.0, tail_bound=0.0)
+    f = random_model_function(spec_one, 4, seed=2)
     with pytest.raises(ZeroNormError):
-        empirical_embedding_ratio(dead, MeasureSpec(), 2.0)
+        empirical_embedding_ratio(f, MeasureSpec(), 2.0, 0.0)
 
 
 def test_embedding_ratio_empty_measure_is_zero(spec_one):
-    f = to_grid_function(random_model_function(spec_one, 4, seed=2), 2.0)
-    assert empirical_embedding_ratio(f, MeasureSpec(), 2.0) == 0.0
+    f = random_model_function(spec_one, 4, seed=2)
+    assert empirical_embedding_ratio(f, MeasureSpec(), 2.0, lp_norm(f, 2.0)) == 0.0
 
 
 def test_embedding_ratio_raises_when_quadrature_falls_short(spec_two, monkeypatch):
-    f = to_grid_function(random_model_function(spec_two, 5, seed=4), 2.0)
+    f = random_model_function(spec_two, 5, seed=4)
+    norm = lp_norm(f, 2.0)
     mu = MeasureSpec(pieces=(DensityPiece(-60.0, 60.0, 1.0),))
     real = quadrature.integrate_panels
 
@@ -400,7 +399,7 @@ def test_embedding_ratio_raises_when_quadrature_falls_short(spec_two, monkeypatc
 
     monkeypatch.setattr(quadrature, "integrate_panels", short)
     with pytest.raises(QuadratureError, match="empirical_embedding_ratio"):
-        empirical_embedding_ratio(f, mu, 2.0)
+        empirical_embedding_ratio(f, mu, 2.0, norm)
 
 
 @pytest.fixture
@@ -430,18 +429,19 @@ def initial_panels(monkeypatch):
 def test_embedding_ratio_of_a_long_piece_stays_small(spec_two, initial_panels):
     import tracemalloc
 
-    f = to_grid_function(random_model_function(spec_two, 5, seed=4), 2.0)
+    f = random_model_function(spec_two, 5, seed=4)
+    norm = lp_norm(f, 2.0)
     whole = MeasureSpec(pieces=(DensityPiece(0.0, 1e6, 1.0),))
     tracemalloc.start()
     try:
-        ratio = empirical_embedding_ratio(f, whole, 2.0)
+        ratio = empirical_embedding_ratio(f, whole, 2.0, norm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
     cuts = (0.0, 1e3, 1e4, 1e5, 1e6)
     parts = MeasureSpec(pieces=tuple(DensityPiece(l, r, 1.0) for l, r in zip(cuts, cuts[1:])))
-    assert ratio == pytest.approx(empirical_embedding_ratio(f, parts, 2.0), rel=1e-8)
+    assert ratio == pytest.approx(empirical_embedding_ratio(f, parts, 2.0, norm), rel=1e-8)
     # a piece up to 1024 long keeps its four panels per unit length
     assert initial_panels == [4096, 4000, 4096, 4096, 4096]
 
