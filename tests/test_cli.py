@@ -436,6 +436,13 @@ ATOMS_AND_PIECES = {"atoms": [{"x": 0.3, "mass": 1.0}, {"x": 2.5, "mass": 0.5}],
 # checks with a corpus, whose window_sup_budget row no README example has,
 # and a sieve certificate whose measure has atoms as well as pieces
 PINNED_RUNS = {
+    "certify_bernstein_pw": (
+        {"command": "certify-bernstein", "inner": {"c": 2.0},
+         "params": {"size": 3, "p": [1.0, 2.0, 4.0]}},
+        {"certify_bernstein.csv":
+             "54b9193dcb04ea19e4a6d9538f83d52226fa004852d21b79b3472c5068c497e7",
+         "certify_bernstein_manifest.json":
+             "17694266fa9b4acc6ed79787e7c1e9ae90287cdd89ccaeb4692efb5aaff1ab71"}),
     "certify_sieve_atoms": (
         {"command": "certify-sieve", "inner": ONE_ZERO, "measure": ATOMS_AND_PIECES,
          "params": {"size": 3, "p": [1.0, 2.0, 4.0]}},
