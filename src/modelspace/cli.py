@@ -200,6 +200,17 @@ def _reconstruct_window(spec, method, window, params, f, xs):
         reconstruct.sample_function(f, grid), spec, over_c, m, xs)
 
 
+def _query_grid(params, lo: float, hi: float) -> np.ndarray:
+    """x_count points from x_min to x_max, which default to lo and hi."""
+    lo = _num(params, "x_min", lo)
+    hi = _num(params, "x_max", hi)
+    n = _int(params, "x_count", 101)
+    if not (hi > lo and math.isfinite(hi - lo) and n >= 2):
+        raise ConfigError("need x_max > x_min, both finite and a finite distance apart, "
+                          "and x_count >= 2")
+    return np.linspace(lo, hi, n)
+
+
 def _cmd_reconstruct(config, out_dir):
     spec = _inner_spec(config)
     params = _as_params(config)
@@ -207,12 +218,7 @@ def _cmd_reconstruct(config, out_dir):
     if method not in reconstruct._METHODS:
         raise ConfigError(f"params.method: expected one of {reconstruct._METHODS}, got {method!r}")
     window = _int(params, "window", 300)
-    lo = _num(params, "x_min", -3.0)
-    hi = _num(params, "x_max", 3.0)
-    n = _int(params, "x_count", 101)
-    if not (hi > lo and n >= 2):
-        raise ConfigError("need x_max > x_min and x_count >= 2")
-    xs = np.linspace(lo, hi, n)
+    xs = _query_grid(params, -3.0, 3.0)
     f = _target(spec, method, params)
     truth = f(xs)
     rec = _reconstruct_window(spec, method, window, params, f, xs)
@@ -235,9 +241,7 @@ def _cmd_decay(config, out_dir):
     if any(k < 1 for k in windows):
         raise ConfigError("params.windows: entries must be >= 1")
     uniform = any(m in ("shannon", "pw_oversample") for m in methods)
-    lo = _num(params, "x_min", -1.0 if uniform else -3.0)
-    hi = _num(params, "x_max", 1.0 if uniform else 3.0)
-    xs = np.linspace(lo, hi, _int(params, "x_count", 101))
+    xs = _query_grid(params, -1.0 if uniform else -3.0, 1.0 if uniform else 3.0)
     for method in methods:
         f = _target(spec, method, params)
         truth = f(xs)

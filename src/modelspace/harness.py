@@ -122,14 +122,13 @@ class _PanelTable:
     only bisect them, so most rows recur; _certified_masses keeps a table for
     that pass alone.  Theta and phi' bits of a point do not depend on the
     batch it is evaluated in, so a stored row holds exactly what a fresh
-    evaluation returns.  A row is stored with Theta only; its
-    phi' (NaN until then) is filled the first time phi' is asked for, so
-    f-only masses compute no phi'.  A row hashes to one cell of a
-    direct-mapped index with about 4 to 8 cells per stored row; a hit needs the
-    stored key to match the row bit for bit.  Row 0 holds the all-zero row
-    and every free cell points at it.  Keys, values and index are
-    preallocated within _PANEL_BUDGET bytes.  A miss whose cell is taken,
-    or that comes once every row is taken, is evaluated and not stored.
+    evaluation returns.  A row is stored with its Theta and phi' both.  A
+    row hashes to one cell of a direct-mapped index with about 4 to 8 cells
+    per stored row; a hit needs the stored key to match the row bit for bit.
+    Row 0 holds the all-zero row and every free cell points at it.  Keys,
+    values and index are preallocated within _PANEL_BUDGET bytes.  A miss
+    whose cell is taken, or that comes once every row is taken, is
+    evaluated and not stored.
     """
 
     def __init__(self, spec: InnerFunctionSpec):
@@ -139,17 +138,18 @@ class _PanelTable:
         rows = max(2, (_PANEL_BUDGET - (4 << bits)) // (_ROW * (8 + 16 + 8)))
         self.shift = np.uint64(64 - bits)
         self.index = np.zeros(1 << bits, dtype=np.int32)
-        self.keys = np.empty((rows, _ROW), dtype=np.uint64)
+        self.keys = np.zeros((rows, _ROW), dtype=np.uint64)
         self.theta = np.empty((rows, _ROW), dtype=complex)
         self.dphi = np.empty((rows, _ROW))
-        self.keys[0] = 0
-        self.theta[0] = evaluate(spec, np.zeros((1, _ROW)))
-        self.dphi[0] = np.nan
+        self.theta[0], self.dphi[0] = self._fresh(np.zeros((1, _ROW)))
         self.size = 1
 
-    def values(self, x: np.ndarray, dphi: bool):
-        """(Theta, phi' or None) at the rows of x, a C-contiguous (n, _ROW)
-        float array, flattened; phi' only when dphi is set."""
+    def _fresh(self, x: np.ndarray):
+        return evaluate(self.spec, x), phase_derivative(self.spec, x)
+
+    def values(self, x: np.ndarray):
+        """(Theta, phi') at the rows of x, a C-contiguous (n, _ROW) float
+        array, flattened."""
         bits = x.view(np.uint64)
         # multiplicative hash: the top bits of the wrapped products pick the cell
         cell = ((bits @ _ROW_MIX) >> self.shift).astype(np.intp)
@@ -165,23 +165,14 @@ class _PanelTable:
                 end = self.size + new.size
                 self.index[cell[new]] = np.arange(self.size, end)
                 self.keys[self.size:end] = bits[new]
-                self.theta[self.size:end] = evaluate(self.spec, x[new])
-                self.dphi[self.size:end] = np.nan
+                self.theta[self.size:end], self.dphi[self.size:end] = self._fresh(x[new])
                 self.size = end
                 slot = self.index.take(cell)
                 missed = (self.keys.take(slot, axis=0) != bits).any(axis=1)
-        theta = self.theta.take(slot, axis=0)
+        theta, dphi = self.theta.take(slot, axis=0), self.dphi.take(slot, axis=0)
         if missed.any():
-            theta[missed] = evaluate(self.spec, x[missed])
-        if not dphi:
-            return theta.reshape(-1), None
-        der = self.dphi.take(slot, axis=0)
-        lack = missed | np.isnan(der[:, 0])
-        if lack.any():
-            der[lack] = phase_derivative(self.spec, x[lack])
-            held = lack & ~missed
-            self.dphi[slot[held]] = der[held]
-        return theta.reshape(-1), der.reshape(-1)
+            theta[missed], dphi[missed] = self._fresh(x[missed])
+        return theta.reshape(-1), dphi.reshape(-1)
 
 
 @dataclass(eq=False)
@@ -450,12 +441,15 @@ def _with_tail(res, profile: DecayProfile, spec: InnerFunctionSpec, p: float, ra
     plus both tails as gbar * integral of |x|^-m over |x| > radius, gbar the
     periodic mean of g(theta) = (|A - B e^{i theta}| / 2pi)^p.  The
     uncertainty adds the quadrature error estimate and the tail bound of
-    _tail_uncertainty."""
+    _tail_uncertainty; LpNormError when that bound overflows."""
     m = p * profile.order
     g = _tail_samples(profile, spec, p)
     gbar = float(g.mean())
     tail = 2.0 * gbar * radius ** (1.0 - m) / (m - 1.0)
-    unc = res.error_bound + _tail_uncertainty(g, profile, spec, p, radius)
+    try:
+        unc = res.error_bound + _tail_uncertainty(g, profile, spec, p, radius)
+    except OverflowError:
+        raise LpNormError(f"tail bound at p = {p:g} overflows at radius {radius:.0f}") from None
     return float(np.real(res.value)) + tail, unc
 
 
@@ -495,25 +489,21 @@ def _certified_mass(values_fn, profile, spec, p):
 
 def _mass_integrand(f: KernelCombination, p: float, derivative: bool):
     """(p, tail profile, |f|^p or |f'|^p at points) of a certified norm;
-    LpNormError when that tail decays too slowly to integrate."""
+    ValueError unless p is finite and >= 1, LpNormError when that tail decays
+    too slowly to integrate."""
     p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     profile = f.derivative_profile() if derivative else f.decay_profile()
+    m = p * profile.order
+    if m < 1.5:
+        raise LpNormError(f"p-th power tail exponent {m:.3g} is too slow to integrate; "
+                          "combinations need vanishing zeroth moments for p = 1")
     fn = f.derivative if derivative else f
 
     def values(x):
         return np.abs(fn(x)) ** p
 
-    m = p * profile.order
-    if m < 1.5:
-        x1, x2 = 40.0 * _RADII[0], 400.0 * _RADII[0]
-        v1 = float(values(np.array([x1]))[0]) + 1e-300
-        v2 = float(values(np.array([x2]))[0]) + 1e-300
-        raise LpNormError(
-            f"p-th power tail exponent {m:.3g} (measured "
-            f"{math.log(v1 / v2) / math.log(x2 / x1):.3g}) is too "
-            "slow to integrate; combinations need vanishing zeroth moments for p = 1")
     return p, profile, values
 
 
@@ -528,16 +518,15 @@ def _certified_norm(f: KernelCombination, p: float, derivative: bool):
 def _certified_masses(items) -> list:
     """(mass, uncertainty, radius) of _certified_mass for each (f, p,
     derivative) item, with its bits, or the exception it raises; the items
-    share one spec and are certified in one lockstep quadrature.  Theta (and
-    phi' when an f' integral needs it) is taken once per group of rows, from
-    a panel table that lives for this pass; the kernel sums, which round by
-    batch, run on each integral's own rows.
+    share one spec and are certified in one lockstep quadrature.  Theta and
+    phi' are taken once per group of rows, from a panel table that lives for
+    this pass; the kernel sums, which round by batch, run on each integral's
+    own rows.
     """
     spec = items[0][0].spec if items else None
     if any(f.spec != spec for f, _, _ in items):
         raise ValueError("certified masses of one pass need a common spec")
-    # without zeros, Theta and phi' cost less than a table lookup
-    table = _PanelTable(spec) if items and spec.zeros else None
+    table = _PanelTable(spec) if items else None
     out, setups, jobs = [None] * len(items), {}, deque()
     for k, (f, p, derivative) in enumerate(items):
         try:
@@ -548,9 +537,7 @@ def _certified_masses(items) -> list:
 
     def rows(keys, counts, x):
         flat = x.reshape(-1)
-        dphi = any(items[k][2] for k, _ in keys)
-        theta, dphi = (table.values(x, dphi) if table else
-                       (evaluate(spec, flat), phase_derivative(spec, flat) if dphi else None))
+        theta, dphi = table.values(x)
         vals = np.empty(flat.size)
         start = 0
         for (k, _), count in zip(keys, counts):
@@ -679,7 +666,8 @@ def _sup_sample_checks(funcs, deltas, ps):
 
 def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     """The left side of sup_sample_check; ValueError before any sampling
-    when it needs more than _WINDOW_SAMPLES samples."""
+    when it needs more than _WINDOW_SAMPLES samples or its sample grid
+    overflows."""
     if not (0.0 < delta < math.inf and 1.0 <= p < math.inf):
         raise ValueError("delta must be positive and p >= 1, both finite")
     profile = f.decay_profile()
@@ -692,6 +680,8 @@ def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     if 2 * k0 * per > _WINDOW_SAMPLES:
         raise ValueError(f"window-sup sum at delta = {delta!r} needs {2 * k0 * per} samples, "
                          f"more than {_WINDOW_SAMPLES}")
+    if not 2.0 * k0 * delta < math.inf:
+        raise ValueError(f"window-sup sum at delta = {delta!r} overflows its sample grid")
     xs = -k0 * delta + np.arange(2 * k0 * per) * (delta / per)
     vals = (np.abs(f(xs)) ** p).reshape(2 * k0, per)
     interior = float(vals.max(axis=1).sum())

@@ -183,6 +183,22 @@ def test_reconstruct_output_override(tmp_path):
 
 # ---------------------------------------------------------------------- decay
 
+@pytest.mark.parametrize("command, grid", [
+    ("reconstruct", {"x_max": math.inf}),
+    ("decay", {"x_min": -1e308, "x_max": 1e308}),
+    ("decay", {"x_count": 0}),
+    ("decay", {"x_min": 1.0, "x_max": -1.0}),
+])
+def test_query_grid_rejected(tmp_path, capsys, command, grid):
+    # an infinite or overflowing range would write inf/nan rows and exit 0
+    params = ({"method": "shannon", "window": 5} if command == "reconstruct"
+              else {"windows": [5]})
+    cfg = {"command": command, "inner": {"c": 2.0}, "params": {**params, **grid}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err.startswith("config error: need x_max > x_min")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_decay_command(tmp_path):
     cfg = {"command": "decay", "inner": {"c": 2.0},
            "params": {"windows": [25, 50, 100]}}
@@ -356,6 +372,18 @@ def test_lemma_checks_refuse_a_subnormal_delta(tmp_path, capsys):
     assert run_cli(tmp_path, cfg) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: window-sup sum at delta = 1e-320 needs inf samples")
+
+
+def test_lemma_checks_refuse_an_overflowing_delta(tmp_path, capsys):
+    cfg = {"command": "lemma-checks", "inner": ONE_ZERO,
+           "params": {"size": 1, "deltas": [1e308], "p": [2], "pairs": 1, "m_pairs": 1}}
+    assert run_cli(tmp_path, cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window-sup sum at delta = 1e+308 overflows its sample grid")
+    cfg["params"]["deltas"] = [1e306]
+    assert run_cli(tmp_path, cfg) == 0
+    _, _, rows = read_report(tmp_path / "lemma_checks.csv")
+    assert all(math.isfinite(float(v)) for row in rows for v in row[1:] if v)
 
 
 def test_certify_sieve_deterministic(tmp_path):

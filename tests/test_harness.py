@@ -278,10 +278,28 @@ def test_norm_rejects_bad_p(spec_one):
         derivative_lp_norm(f, 0.99)
 
 
+def test_norm_rejects_a_nonfinite_p(spec_one):
+    # an infinite p would run all three radii and fail on a nan mass
+    f = random_model_function(spec_one, 5, seed=3)
+    for p in (math.inf, math.nan):
+        for norm in (lp_norm, derivative_lp_norm):
+            with pytest.raises(ValueError, match="p must be finite and >= 1"):
+                norm(f, p)
+
+
+def test_norm_names_an_overflowing_tail_bound(spec_one):
+    # the p-th powers in the tail bound overflow a float, whose bare
+    # OverflowError would name neither p nor the radius
+    f = random_model_function(spec_one, 5, seed=3)
+    for norm in (lp_norm, derivative_lp_norm):
+        with pytest.raises(LpNormError, match="tail bound at p = 400 overflows at radius 2000"):
+            norm(f, 400.0)
+
+
 def test_norm_p1_needs_cancellation(spec_one):
     f = KernelCombination(spec=spec_one, anchors=np.array([1j]),
                           coefficients=np.array([1.0 + 0j]))
-    with pytest.raises(LpNormError, match="measured"):
+    with pytest.raises(LpNormError, match="exponent 1 is too slow"):
         lp_norm(f, 1.0)
     # p = 2 is fine for the same function
     assert lp_norm(f, 2.0) > 0.0
@@ -346,6 +364,15 @@ def test_sup_sample_check_refuses_a_subnormal_delta(spec_one, delta):
     f = random_model_function(spec_one, 5, seed=2)
     with pytest.raises(ValueError, match=rf"delta = {delta!r} needs inf samples, more than 1048576"):
         sup_sample_check(f, delta, 2.0)
+
+
+def test_sup_sample_check_refuses_an_overflowing_grid(spec_one):
+    # the grid [-2 delta, 2 delta) lies past the largest float
+    f = random_model_function(spec_one, 5, seed=2)
+    with pytest.raises(ValueError, match=r"delta = 1e\+308 overflows its sample grid"):
+        sup_sample_check(f, 1e308, 2.0)
+    left, right = sup_sample_check(f, 1e306, 2.0)
+    assert math.isfinite(left) and math.isfinite(right)
 
 
 def cont_formula_derivative(f: KernelCombination, x: float) -> complex:
@@ -687,12 +714,13 @@ def _pass_bits(funcs, order):
             for key, (mass, unc, _) in zip(keys, masses)}
 
 
-def test_spec_without_zeros_opens_no_panel_table(spec_pw, monkeypatch):
+def test_spec_without_zeros_takes_one_panel_table(spec_pw, monkeypatch):
     funcs = [random_model_function(spec_pw, 5, seed=s) for s in (7, 8)]
     plain = _norm_bits(funcs, [0, 1])
     built = _tables(monkeypatch)
     assert _pass_bits(funcs, [1, 0]) == plain
-    assert built == []
+    (table,) = built
+    assert table.size > 1
 
 
 def test_panel_table_full_after_a_few_rows_keeps_bits(spec_two, monkeypatch):
