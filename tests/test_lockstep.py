@@ -15,8 +15,8 @@ from modelspace import cli, harness, quadrature
 from modelspace.inner import from_dict
 from modelspace.harness import (LpNormError, _certified_mass, _certified_masses,
                                 _mass_integrand, _random_model_functions,
-                                bernstein_check, lp_norm, random_model_function,
-                                sup_sample_check)
+                                bernstein_check, derivative_lp_norm, derivative_sup_norm,
+                                lp_norm, random_model_function, sup_sample_check)
 from test_harness import _corpus_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,6 +89,15 @@ def test_lockstep_reports_each_items_own_error(spec_one, spec_pw):
         _certified_masses([good, (random_model_function(spec_pw, 5, seed=3), 2.0, False)])
 
 
+@pytest.mark.parametrize("name", ["spec_one", "spec_two", "spec_pw"])
+def test_bernstein_check_matches_its_norms_one_at_a_time(name, request):
+    spec = request.getfixturevalue(name)
+    for f in [random_model_function(spec, 5, seed=s) for s in (7, 8)]:
+        for p in (1.0, 2.0, 4.0):
+            want = (derivative_lp_norm(f, p), derivative_sup_norm(f.spec) * lp_norm(f, p))
+            assert np.array(bernstein_check(f, p)).tobytes() == np.array(want).tobytes()
+
+
 def _track_open(monkeypatch):
     """Largest number of integrals open at once in _lockstep: evaluated and
     not yet finished."""
@@ -159,7 +168,8 @@ def test_bernstein_failure_names_the_first_failing_item(tmp_path, spec_one, caps
     with pytest.raises(LpNormError) as alone:
         for p in (2.0, 1.0):
             for f in funcs:
-                bernstein_check(f, p)
+                derivative_lp_norm(f, p)
+                lp_norm(f, p)
     assert _run(tmp_path, cfg) == 1
     assert capsys.readouterr().err == f"error: {alone.value}\n"
 

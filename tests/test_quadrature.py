@@ -186,3 +186,43 @@ def test_lockstep_integrals_match_each_alone(monkeypatch):
         assert (res.value, res.error_bound, res.panel_count, res.converged) == \
             (alone[k].value, alone[k].error_bound, alone[k].panel_count, alone[k].converged)
     assert max(seen) <= 3 and max(seen) > 1
+
+
+def test_lockstep_mixes_every_stopping_reason(monkeypatch):
+    # one pass holds integrals that converge, hit the panel cap, stop with
+    # every panel at floating-point width, or have no panels at all; each
+    # keeps the result integrate_panels gives it alone
+    from collections import deque
+
+    from modelspace.quadrature import _lockstep
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 32)
+    monkeypatch.setattr(quadrature, "_MAX_OPEN", 3)
+    monkeypatch.setattr(quadrature, "_GROUP_ROWS", 4)
+    step = 1.0 + 4e-14
+    cases = [
+        (lambda x: np.exp(-x * x), np.array([[-8.0, 8.0]])),
+        (lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.pi)), np.array([[0.0, 1.0]])),
+        (lambda x: np.cos(x), np.zeros((0, 2))),
+        (lambda x: np.where(x < step, 0.0, 1e30), np.array([[1.0, 1.0 + 1e-13]])),
+        (lambda x: 1.0 / (1.0 + x * x), np.array([[-3.0, 0.0], [0.0, 5.0]])),
+        (lambda x: np.sin(x), np.zeros((0, 2))),
+    ]
+    alone = [integrate_panels(f, panels, 1e-12) for f, panels in cases]
+    converged, capped, empty, narrow = alone[0], alone[1], alone[2], alone[3]
+    assert converged.converged and converged.panel_count < 32
+    assert not capped.converged and capped.panel_count >= 32
+    assert empty.converged and empty.panel_count == 0
+    assert not narrow.converged and narrow.panel_count == 1
+
+    def rows(keys, counts, x):
+        parts = np.split(x, np.cumsum(counts)[:-1])
+        return np.concatenate([cases[k][0](part.ravel()) for k, part in zip(keys, parts)])
+
+    got = dict(_lockstep(deque(enumerate(panels for _, panels in cases)), rows, 1e-12))
+    assert sorted(got) == list(range(len(cases)))
+    for k, want in enumerate(alone):
+        res = got[k]
+        assert np.asarray(res.value).tobytes() == np.asarray(want.value).tobytes()
+        assert (res.error_bound, res.panel_count, res.converged) == \
+            (want.error_bound, want.panel_count, want.converged)
