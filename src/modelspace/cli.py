@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import clark, harness, reconstruct, sieve
-from .inner import InnerFunctionSpec, _require_int, _require_number, enlarge, from_dict
+from .inner import _require_int, _require_number, enlarge, from_dict
 from .kernel import SincKernelSpec, _xi_integrals, higher_power_bound, sinc
 # bound here as before the lockstep lemma checks; perfbench wraps this binding
 from .kernel import xi_power_product_integral, xi_product_integral  # noqa: F401
@@ -52,6 +52,12 @@ def _write_report(path: str, headers: dict, columns, rows) -> None:
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_json(path: str):
@@ -106,20 +112,13 @@ def _num_list(params: dict, key: str, default=None):
     return _param(params, key, default, _number_list)
 
 
-def _inner_spec(config: dict) -> InnerFunctionSpec:
-    if "inner" not in config:
-        raise ConfigError("inner: required for this command")
+def _section(config: dict, key: str, parse):
+    """parse(config[key], where=key); its ValueError or TypeError, or a
+    missing key, becomes ConfigError."""
+    if key not in config:
+        raise ConfigError(f"{key}: required for this command")
     try:
-        return from_dict(config["inner"], where="inner")
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
-
-
-def _measure_spec(config: dict) -> sieve.MeasureSpec:
-    if "measure" not in config:
-        raise ConfigError("measure: required for this command")
-    try:
-        return sieve.measure_from_dict(config["measure"], where="measure")
+        return parse(config[key], where=key)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
 
@@ -142,7 +141,7 @@ def _corpus(spec, params):
 
 
 def _cmd_nodes(config, out_dir):
-    spec = _inner_spec(config)
+    spec = _section(config, "inner", from_dict)
     params = _as_params(config)
     gamma = _num(params, "gamma", 0.0)
     n_min = _int(params, "n_min")
@@ -212,7 +211,7 @@ def _query_grid(params, lo: float, hi: float) -> np.ndarray:
 
 
 def _cmd_reconstruct(config, out_dir):
-    spec = _inner_spec(config)
+    spec = _section(config, "inner", from_dict)
     params = _as_params(config)
     method = params.get("method")
     if method not in reconstruct._METHODS:
@@ -232,7 +231,7 @@ def _cmd_reconstruct(config, out_dir):
 
 
 def _cmd_decay(config, out_dir):
-    spec = _inner_spec(config)
+    spec = _section(config, "inner", from_dict)
     params = _as_params(config)
     methods = params.get("methods", ["shannon", "pw_oversample"])
     if not isinstance(methods, list) or any(m not in reconstruct._METHODS for m in methods):
@@ -259,13 +258,13 @@ def _cmd_decay(config, out_dir):
 
 
 def _cmd_density(config, out_dir):
-    measure = _measure_spec(config)
+    measure = _section(config, "measure", sieve.measure_from_dict)
     params = _as_params(config)
     deltas = sorted(_num_list(params, "deltas"))
     adapted = params.get("adapted", False)
     if not isinstance(adapted, bool):
         raise ConfigError(f"params.adapted: expected true/false, got {adapted!r}")
-    spec = _inner_spec(config) if adapted else None
+    spec = _section(config, "inner", from_dict) if adapted else None
     reps = (sieve.d_mu_theta_many(measure, spec, deltas) if adapted
             else [sieve.d_mu(measure, delta) for delta in deltas])
     rows = [(_fmt(rep.delta), _fmt(rep.value), _fmt(rep.witness[0]), _fmt(rep.witness[1]))
@@ -281,8 +280,8 @@ def _p_label(p: float) -> str:
 
 
 def _cmd_certify_sieve(config, out_dir):
-    spec = _inner_spec(config)
-    measure = _measure_spec(config)
+    spec = _section(config, "inner", from_dict)
+    measure = _section(config, "measure", sieve.measure_from_dict)
     params = _as_params(config)
     deltas = _num_list(params, "deltas", (0.1, 0.5, 1.0, 2.0))
     p_list = _num_list(params, "p", (1.0, 2.0))
@@ -304,40 +303,33 @@ def _cmd_certify_sieve(config, out_dir):
         _write_report(os.path.join(out_dir, f"certify_sieve_p{_p_label(p)}.csv"),
                       {"command": "certify-sieve", "p": _fmt(p), "corpus_size": len(funcs)},
                       ("delta", "D", "bound", "max_ratio", "margin"), rows)
-    manifest = harness.corpus_manifest(spec, seed, count, len(funcs))
-    manifest["measure"] = sieve.measure_to_dict(measure)
-    with open(os.path.join(out_dir, "certify_sieve_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(os.path.join(out_dir, "certify_sieve_manifest.json"),
+                    {**harness.corpus_manifest(spec, seed, count, len(funcs)),
+                     "measure": sieve.measure_to_dict(measure)})
     return 2 if violations else 0
 
 
 def _cmd_certify_bernstein(config, out_dir):
-    spec = _inner_spec(config)
+    spec = _section(config, "inner", from_dict)
     params = _as_params(config)
     p_list = _num_list(params, "p", (1.0, 2.0, 4.0))
     rows = []
     violations = 0
     funcs, seed, count = _corpus(spec, params)
-    # bernstein_check's norms, f' before f, all in one pass
-    norms = harness._corpus_norms([(f, p, derivative) for p in p_list for f in funcs
-                                   for derivative in (True, False)])
+    checks = harness._bernstein_checks(funcs, p_list)
     for p in p_list:
         worst = 0.0
         for _ in funcs:
-            (lhs, _), (norm, _) = next(norms), next(norms)
-            worst = max(worst, lhs / (harness.derivative_sup_norm(spec) * norm))
+            lhs, rhs = next(checks)
+            worst = max(worst, lhs / rhs)
         if worst > 1.0 + VIOLATION_TOL:
             violations += 1
         rows.append((_fmt(p), _fmt(worst), _fmt(1.0 - worst)))
     _write_report(os.path.join(out_dir, "certify_bernstein.csv"),
                   {"command": "certify-bernstein", "corpus_size": len(funcs)},
                   ("p", "max_ratio", "margin"), rows)
-    manifest = harness.corpus_manifest(spec, seed, count, len(funcs))
-    with open(os.path.join(out_dir, "certify_bernstein_manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(os.path.join(out_dir, "certify_bernstein_manifest.json"),
+                    harness.corpus_manifest(spec, seed, count, len(funcs)))
     return 2 if violations else 0
 
 
@@ -370,7 +362,8 @@ def _cmd_lemma_checks(config, out_dir):
         rows.append((name, str(cases), _fmt(worst)))
 
     if "inner" in config:
-        funcs, _, _ = _corpus(_inner_spec(config), {**params, "size": _int(params, "size", 5)})
+        spec = _section(config, "inner", from_dict)
+        funcs, _, _ = _corpus(spec, {**params, "size": _int(params, "size", 5)})
         checks = harness._sup_sample_checks(funcs, _num_list(params, "deltas", (0.25, 1.0)),
                                             _num_list(params, "p", (1.0, 2.0)))
         worst = min(right - left for left, right in checks)

@@ -441,26 +441,29 @@ def _with_tail(res, profile: DecayProfile, spec: InnerFunctionSpec, p: float, ra
     plus both tails as gbar * integral of |x|^-m over |x| > radius, gbar the
     periodic mean of g(theta) = (|A - B e^{i theta}| / 2pi)^p.  The
     uncertainty adds the quadrature error estimate and the tail bound of
-    _tail_uncertainty; LpNormError when that bound overflows."""
+    _tail_uncertainty; LpNormError when the samples or that bound overflow."""
     m = p * profile.order
-    g = _tail_samples(profile, spec, p)
-    gbar = float(g.mean())
-    tail = 2.0 * gbar * radius ** (1.0 - m) / (m - 1.0)
     try:
-        unc = res.error_bound + _tail_uncertainty(g, profile, spec, p, radius)
-    except OverflowError:
+        with np.errstate(over="raise", invalid="raise"):
+            g = _tail_samples(profile, spec, p)
+            gbar = float(g.mean())
+            tail = 2.0 * gbar * radius ** (1.0 - m) / (m - 1.0)
+            unc = res.error_bound + _tail_uncertainty(g, profile, spec, p, radius)
+    except (OverflowError, FloatingPointError):
         raise LpNormError(f"tail bound at p = {p:g} overflows at radius {radius:.0f}") from None
     return float(np.real(res.value)) + tail, unc
 
 
-def _certified_at(mass: float, unc: float, radius: float) -> bool:
-    """Whether (mass, unc) at radius certifies; LpNormError at the last radius."""
+def _certified_at(mass: float, unc: float, radius: float, quad_err: float) -> bool:
+    """Whether (mass, unc) at radius certifies; LpNormError at the last
+    radius, naming the quadrature error and the tail bound that unc sums."""
     if unc <= NORM_REL_TOL * mass:
         return True
     if radius == _RADII[-1]:
         raise LpNormError(
-            f"tail uncertainty {unc:.3e} still above {NORM_REL_TOL:.0e} * mass "
-            f"{mass:.3e} at radius {_RADII[-1]:.0f}")
+            f"uncertainty {unc:.3e} (quadrature error {quad_err:.3e}, tail bound "
+            f"{unc - quad_err:.3e}) still above {NORM_REL_TOL:.0e} * mass {mass:.3e} "
+            f"at radius {_RADII[-1]:.0f}")
     return False
 
 
@@ -483,7 +486,7 @@ _INTERIOR_REL_TOL = 1e-10
 def _certified_mass(values_fn, profile, spec, p):
     for radius in _RADII:
         mass, unc, res = _p_mass(values_fn, profile, spec, p, radius)
-        if _certified_at(mass, unc, radius):
+        if _certified_at(mass, unc, radius, res.error_bound):
             return mass, unc, res, radius
 
 
@@ -554,7 +557,7 @@ def _certified_masses(items) -> list:
         radius = _RADII[level]
         try:
             mass, unc = _with_tail(res, profile, spec, p, radius)
-            if _certified_at(mass, unc, radius):
+            if _certified_at(mass, unc, radius, res.error_bound):
                 out[k] = (mass, unc, radius)
             else:
                 jobs.append(((k, level + 1), _mass_panels(spec, _RADII[level + 1])))
@@ -584,7 +587,19 @@ def derivative_lp_norm(f: KernelCombination, p: float) -> float:
 
 def bernstein_check(f: KernelCombination, p: float):
     """(‖f'‖_p, sup|Theta'| * ‖f‖_p); the first must not exceed the second."""
-    return derivative_lp_norm(f, p), derivative_sup_norm(f.spec) * lp_norm(f, p)
+    return next(_bernstein_checks([f], [p]))
+
+
+def _bernstein_checks(funcs, ps):
+    """bernstein_check's pair for each p and then each member in turn.  Every
+    norm is certified in one lockstep pass, f' before f, and a failure
+    raises where checking one at a time meets it first."""
+    norms = _corpus_norms([(f, p, derivative) for p in ps for f in funcs
+                           for derivative in (True, False)])
+    for _ in ps:
+        for f in funcs:
+            (dnorm, _), (norm, _) = next(norms), next(norms)
+            yield dnorm, derivative_sup_norm(f.spec) * norm
 
 
 def random_model_function(spec: InnerFunctionSpec, count: int, seed: int) -> KernelCombination:
@@ -667,7 +682,7 @@ def _sup_sample_checks(funcs, deltas, ps):
 def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     """The left side of sup_sample_check; ValueError before any sampling
     when it needs more than _WINDOW_SAMPLES samples or its sample grid
-    overflows."""
+    overflows, LpNormError when a p-th power overflows."""
     if not (0.0 < delta < math.inf and 1.0 <= p < math.inf):
         raise ValueError("delta must be positive and p >= 1, both finite")
     profile = f.decay_profile()
@@ -683,11 +698,16 @@ def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     if not 2.0 * k0 * delta < math.inf:
         raise ValueError(f"window-sup sum at delta = {delta!r} overflows its sample grid")
     xs = -k0 * delta + np.arange(2 * k0 * per) * (delta / per)
-    vals = (np.abs(f(xs)) ** p).reshape(2 * k0, per)
-    interior = float(vals.max(axis=1).sum())
     env = 1.05 * (abs(profile.lead_a) + abs(profile.lead_b)
                   + profile.next_scale / hull) / TWO_PI
-    tail = 2.0 * env**p * delta**-m * (k0 - 1.0) ** (1.0 - m) / (m - 1.0)
+    fx = np.abs(f(xs))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            interior = float((fx**p).reshape(2 * k0, per).max(axis=1).sum())
+        tail = 2.0 * env**p * delta**-m * (k0 - 1.0) ** (1.0 - m) / (m - 1.0)
+    except (OverflowError, FloatingPointError):
+        raise LpNormError(f"window-sup sum at p = {p:g} and delta = {delta!r} "
+                          "overflows") from None
     return (interior + tail) ** (1.0 / p)
 
 

@@ -30,9 +30,7 @@ import numpy as np
 __all__ = [
     "BlaschkeZero",
     "InnerFunctionSpec",
-    "PhaseValue",
     "evaluate",
-    "phase",
     "phase_arrays",
     "phase_derivative",
     "phase_difference",
@@ -102,12 +100,6 @@ class InnerFunctionSpec:
     def is_degenerate(self) -> bool:
         """True when Theta is a unimodular constant (c = 0 and no zeros)."""
         return self.c == 0.0 and not self.zeros
-
-
-@dataclass(frozen=True)
-class PhaseValue:
-    value: float
-    derivative: float
 
 
 def evaluate(spec: InnerFunctionSpec, z):
@@ -188,12 +180,6 @@ def phase_difference(spec: InnerFunctionSpec, x, y):
         cross = (xx - zero.re) * (yy - zero.re) + zero.im * zero.im
         out = out + (2.0 * zero.mult) * np.arctan2(zero.im * t, cross)
     return out
-
-
-def phase(spec: InnerFunctionSpec, x: float) -> PhaseValue:
-    """Continuous increasing phase of Theta at a real point, with derivative."""
-    val, der = phase_arrays(spec, float(x))
-    return PhaseValue(float(val), float(der))
 
 
 def _phase_second_derivative(spec: InnerFunctionSpec, x):

@@ -51,7 +51,8 @@ _GROUP_ROWS = 512
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature stopped before its error estimate met abs_tol."""
+    """Adaptive quadrature stopped before its error estimate met its
+    tolerance, max(abs_tol, rel_tol |Re I1|)."""
 
 
 @dataclass
@@ -59,7 +60,7 @@ class QuadratureResult:
     value: complex
     error_bound: float
     panel_count: int
-    converged: bool = True  # error_bound <= abs_tol
+    converged: bool = True  # error_bound <= max(abs_tol, rel_tol |Re I1|)
 
     def require_converged(self, what: str) -> "QuadratureResult":
         """self, or QuadratureError naming `what` when refinement fell short."""

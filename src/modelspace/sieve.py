@@ -89,10 +89,6 @@ class MeasureSpec:
                     f"piece interiors overlap: [{prev.left}, {prev.right}) and "
                     f"[{nxt.left}, {nxt.right})")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.atoms and all(q.height == 0.0 for q in self.pieces)
-
     def support_hull(self):
         """(min, max) of the support, or None for the empty measure."""
         lo, hi = math.inf, -math.inf

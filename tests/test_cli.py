@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,22 @@ def test_lemma_checks_refuse_an_overflowing_delta(tmp_path, capsys):
     assert run_cli(tmp_path, cfg) == 0
     _, _, rows = read_report(tmp_path / "lemma_checks.csv")
     assert all(math.isfinite(float(v)) for row in rows for v in row[1:] if v)
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("certify-bernstein", {}, "tail bound at p = 1e+308 overflows at radius 2000"),
+    ("certify-sieve", {"measure": ATOM}, "tail bound at p = 1e+308 overflows at radius 2000"),
+    ("lemma-checks", {}, "window-sup sum at p = 1e+308 and delta = 0.25 overflows"),
+], ids=["certify-bernstein", "certify-sieve", "lemma-checks"])
+def test_huge_p_fails_with_one_named_error(tmp_path, capsys, command, extra, message):
+    # the p-th powers overflow; no NumPy warning may precede the error line
+    cfg = {"command": command, "inner": ONE_ZERO, **extra,
+           "params": {"p": [1e308], "size": 2, "deltas": [0.25], "pairs": 1, "m_pairs": 1}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(tmp_path, cfg) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_certify_sieve_deterministic(tmp_path):

@@ -24,7 +24,7 @@ from modelspace.harness import (
 from modelspace.harness import (_alias_bounds, _certified_mass, _certified_masses,
                                 _certified_norm, _p_mass, _sharp_tail_terms, _tail_samples,
                                 _tail_uncertainty)
-from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase, phase_arrays
+from modelspace.inner import BlaschkeZero, InnerFunctionSpec, evaluate, phase_arrays
 from modelspace.kernel import reproducing_kernel
 from modelspace.quadrature import QuadratureError
 
@@ -296,6 +296,18 @@ def test_norm_names_an_overflowing_tail_bound(spec_one):
             norm(f, 400.0)
 
 
+def test_last_radius_error_names_quadrature_and_tail(spec_one):
+    # at p = 64 the mass is about 3e-14; the quadrature meets its absolute
+    # floor with an error estimate above 1e-6 of that, while the tail bound
+    # is 0 at every radius
+    f = random_model_function(spec_one, 5, 2)
+    with pytest.raises(LpNormError) as exc:
+        lp_norm(f, 64.0)
+    assert str(exc.value) == (
+        "uncertainty 2.444e-17 (quadrature error 2.444e-17, tail bound 0.000e+00) "
+        "still above 1e-06 * mass 2.814e-14 at radius 32000")
+
+
 def test_norm_p1_needs_cancellation(spec_one):
     f = KernelCombination(spec=spec_one, anchors=np.array([1j]),
                           coefficients=np.array([1.0 + 0j]))
@@ -391,15 +403,15 @@ def cont_formula_derivative(f: KernelCombination, x: float) -> complex:
     """
     x = float(x)
     spec = f.spec
-    px = phase(spec, x)
+    px, dpx = phase_arrays(spec, x)
 
     def integrand(t):
         pt, _ = phase_arrays(spec, t)
         diff = x - t
         near = np.abs(diff) < 1e-12
         safe = np.where(near, 1.0, diff)
-        k = (-0.5j / math.pi) * np.expm1(1j * (px.value - pt)) / safe
-        k = np.where(near, px.derivative / TWO_PI, k)
+        k = (-0.5j / math.pi) * np.expm1(1j * (px - pt)) / safe
+        k = np.where(near, dpx / TWO_PI, k)
         return f(t) * k ** 2
 
     panels = x + quadrature.two_sided_panels(800.0, inner=16.0)
@@ -577,8 +589,8 @@ def test_sharp_tail_terms_match_closed_form(name, request):
     bend = 4.0 * sum(z.mult * z.im for z in spec.zeros) * kappa ** 3
 
     def end(x):
-        ph = phase(spec, x)
-        return -2.0 * (gamma * np.exp(1j * ph.value)).imag * scale / ph.derivative
+        value, derivative = phase_arrays(spec, x)
+        return -2.0 * (gamma * np.exp(1j * value)).imag * scale / derivative
 
     decay = radius ** -m
     # the terms are about 1e-14, so every comparison is relative only

@@ -15,7 +15,6 @@ from modelspace.inner import (
     enlarge,
     evaluate,
     from_dict,
-    phase,
     phase_arrays,
     phase_derivative,
     phase_difference,
@@ -174,44 +173,44 @@ def test_theta_and_phase_derivative_bits_do_not_depend_on_the_batch(seed):
 
 def test_phase_linear_case():
     spec = InnerFunctionSpec(tau=0.0, c=2.0, zeros=())
-    p = phase(spec, math.pi)
-    assert p.value == pytest.approx(2.0 * math.pi)
-    assert p.derivative == pytest.approx(2.0)
+    value, derivative = phase_arrays(spec, math.pi)
+    assert value == pytest.approx(2.0 * math.pi)
+    assert derivative == pytest.approx(2.0)
 
 
 def test_phase_derivative_single_zero():
     # phi'(x) = 2 v / ((x-u)^2 + v^2), maximal value 2/v at x = u
     spec = InnerFunctionSpec(tau=0.0, c=0.0, zeros=(BlaschkeZero(0.0, 1.0),))
-    assert phase(spec, 0.0).derivative == pytest.approx(2.0)
-    assert phase(spec, 1.0).derivative == pytest.approx(1.0)
+    assert phase_arrays(spec, 0.0)[1] == pytest.approx(2.0)
+    assert phase_arrays(spec, 1.0)[1] == pytest.approx(1.0)
 
 
 @given(spec=spec_strategy(), x=finite)
 def test_phase_consistent_with_evaluate(spec, x):
-    val = phase(spec, x).value
+    val = phase_arrays(spec, x)[0]
     assert abs(np.exp(1j * val) - evaluate(spec, x)) < 1e-10
 
 
 @given(spec=spec_strategy(min_zeros=1), x=finite)
 def test_phase_strictly_increasing(spec, x):
     h = 0.37
-    assert phase(spec, x + h).value > phase(spec, x).value
+    assert phase_arrays(spec, x + h)[0] > phase_arrays(spec, x)[0]
 
 
 @given(spec=spec_strategy(), x=finite)
 @settings(max_examples=60)
 def test_phase_derivative_matches_difference_quotient(spec, x):
-    f = lambda t: phase(spec, t).value
+    f = lambda t: phase_arrays(spec, t)[0]
     fd = oracles.central_diff(f, x, h=1e-5)
-    assert phase(spec, x).derivative == pytest.approx(fd, rel=1e-6, abs=1e-6)
+    assert phase_arrays(spec, x)[1] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_blaschke_branch_total_increase():
     # each factor climbs from -2 pi m to 0 across the axis
     spec = InnerFunctionSpec(tau=0.0, c=0.0, zeros=(BlaschkeZero(3.0, 2.0, 2),))
     far = 1e8
-    lo = phase(spec, -far).value
-    hi = phase(spec, far).value
+    lo = phase_arrays(spec, -far)[0]
+    hi = phase_arrays(spec, far)[0]
     assert lo == pytest.approx(-4.0 * math.pi, abs=1e-6)
     assert hi == pytest.approx(0.0, abs=1e-6)
 
@@ -222,8 +221,8 @@ def test_phase_arrays_shape_and_values():
     vals, ders = phase_arrays(spec, xs)
     assert vals.shape == xs.shape and ders.shape == xs.shape
     for x, v, d in zip(xs, vals, ders):
-        p = phase(spec, float(x))
-        assert p.value == pytest.approx(v) and p.derivative == pytest.approx(d)
+        alone, dalone = phase_arrays(spec, float(x))
+        assert alone == pytest.approx(v) and dalone == pytest.approx(d)
 
 
 def test_phase_difference_matches_phase_values():
@@ -352,7 +351,7 @@ def test_sup_norm_bits_match_full_rounds(spec_one, spec_two):
 @given(spec=spec_strategy(min_zeros=1), x=finite)
 @settings(max_examples=60)
 def test_sup_norm_dominates_pointwise(spec, x):
-    assert derivative_sup_norm(spec) >= phase(spec, x).derivative - 1e-9
+    assert derivative_sup_norm(spec) >= phase_arrays(spec, x)[1] - 1e-9
 
 
 # ------------------------------------------------------------------- enlarge
@@ -374,7 +373,7 @@ def test_enlarge_adds_rate_and_zeros():
 @settings(max_examples=60)
 def test_enlarge_increases_phase_derivative(spec, extra_c, x):
     big = enlarge(spec, extra_c, (BlaschkeZero(0.0, 1.0),))
-    assert phase(big, x).derivative >= phase(spec, x).derivative
+    assert phase_arrays(big, x)[1] >= phase_arrays(spec, x)[1]
 
 
 def test_enlarge_rejects_negative_rate():

@@ -53,12 +53,10 @@ def test_measure_component_validation():
 
 def test_measure_helpers():
     mu = MeasureSpec(atoms=(MassAtom(3.0, 2.0),), pieces=(DensityPiece(-1.0, 0.0, 1.0),))
-    assert not mu.is_empty
     assert mu.support_hull() == (-1.0, 3.0)
-    assert MeasureSpec().is_empty
     assert MeasureSpec().support_hull() is None
     zero_density = MeasureSpec(pieces=(DensityPiece(0.0, 1.0, 0.0),))
-    assert zero_density.is_empty
+    assert zero_density.support_hull() is None
 
 
 def test_window_mass_closed_endpoints():
