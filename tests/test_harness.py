@@ -1,6 +1,7 @@
 """Corpus generation, certified L^p norms and derivative identities."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,19 @@ def test_sup_sample_check_refuses_an_oversized_sampling(spec_one):
     # 96 * 640e9 samples; the default deltas take at most 96 * 2560
     with pytest.raises(ValueError, match=r"needs 61440000000000 samples, more than 1048576"):
         sup_sample_check(f, 1e-9, 2.0)
+
+
+def test_sup_sample_check_names_an_overflowing_power(spec_one):
+    # |5 f| exceeds 1 on the sample grid, so its p-th power overflows before
+    # the tail envelope's does; neither may warn or raise a bare OverflowError
+    f = random_model_function(spec_one, 5, seed=2)
+    big = KernelCombination(spec=spec_one, anchors=f.anchors, coefficients=5.0 * f.coefficients)
+    for g in (f, big):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LpNormError,
+                               match=r"window-sup sum at p = 1e\+308 and delta = 1.0 overflows"):
+                sup_sample_check(g, 1.0, 1e308)
 
 
 @pytest.mark.parametrize("delta", [1e-320, 5e-324])
