@@ -3,7 +3,8 @@
 Deliberately dumb implementations: composite Simpson with one Richardson
 step, dense grid scans, golden-section refinement, central differences,
 fixed-round bisection for the phase inverse, the allocating per-zero
-forms of Theta, phi, phi' and the kernel-combination derivative, the
+forms of Theta, phi, phi' and of the kernel-combination values and
+derivative, the
 dense O(N*M) node x query sums of the four reconstruction routes, and
 earlier loops kept as bit-for-bit references for their replacements.
 Nothing here may import the adaptive quadrature, the phase inversion or the
@@ -73,7 +74,11 @@ def blaschke_product(spec, z):
     out = np.exp(1j * (spec.tau + spec.c * zz))
     for zero in spec.zeros:
         lam = complex(zero.re, zero.im)
-        out = out * ((zz - lam) / (zz - lam.conjugate())) ** zero.mult
+        # a named factor: from 256 KiB numpy would form out * (temporary)
+        # in the temporary's buffer with the operands swapped, and complex
+        # multiplication rounds by operand order
+        factor = ((zz - lam) / (zz - lam.conjugate())) ** zero.mult
+        out = out * factor
     return out
 
 
@@ -87,6 +92,19 @@ def summed_phase_arrays(spec, x):
         val = val - (2.0 * zero.mult) * np.arctan2(zero.im, w)
         der = der + (2.0 * zero.mult) * zero.im / (w * w + zero.im * zero.im)
     return val, der
+
+
+def kernel_combination_values(f, z):
+    """f(z) at points of any shape, real or complex, from one allocating
+    (K x n) array of kernel terms, Theta taken from blaschke_product."""
+    zz = np.asarray(z, dtype=complex).reshape(-1)
+    theta = blaschke_product(f.spec, zz)
+    wbar = np.conj(f.anchors)
+    qbar = np.conj(blaschke_product(f.spec, f.anchors))
+    den = zz[None, :] - wbar[:, None]
+    num = 1.0 - qbar[:, None] * theta[None, :]
+    terms = num / den
+    return ((0.5j / math.pi) * (f.coefficients[None, :] @ terms)[0]).reshape(np.shape(z))
 
 
 def kernel_combination_derivative(f, x):

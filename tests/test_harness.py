@@ -118,15 +118,22 @@ def test_derivative_matches_difference_quotient(spec_two):
 
 
 def test_derivative_bits_match_phase_arrays_oracle(spec_two):
+    # f and f' against the allocating (K x n) kernel-term forms, at batch
+    # sizes on both sides of every multiple of 1024 points, and f also off
+    # the real line
     spec_three = InnerFunctionSpec(tau=0.8, c=0.5, zeros=(
         BlaschkeZero(-1.0, 0.3, 3), BlaschkeZero(4.0, 2.0), BlaschkeZero(0.5, 0.01, 2)))
+    zero_free = InnerFunctionSpec(tau=0.3, c=2.0, zeros=())
     rng = np.random.default_rng(41)
-    for spec in (spec_two, spec_three):
+    for spec in (spec_two, spec_three, zero_free):
         f = random_model_function(spec, 6, seed=43)
-        for x in (rng.uniform(-30.0, 30.0, 1), rng.uniform(-30.0, 30.0, 513)):
-            got = f.derivative(x)
-            want = oracles.kernel_combination_derivative(f, x)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for n in (1, 513, 1023, 1024, 1025, 3 * 1024 + 7, 18000):
+            x = rng.uniform(-30.0, 30.0, n)
+            z = x + 1j * rng.uniform(0.0, 3.0, n)
+            for got, want in ((f.derivative(x), oracles.kernel_combination_derivative(f, x)),
+                              (f(x), oracles.kernel_combination_values(f, x)),
+                              (f(z), oracles.kernel_combination_values(f, z))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_membership_orthogonal_to_shifted_hardy_kernel(spec_two):
