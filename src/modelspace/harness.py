@@ -39,6 +39,9 @@ _PANEL_BUDGET = 3 * 2**19
 # Most samples of one window-sup sum: 48 in each delta-window over [-640, 640].
 _WINDOW_SAMPLES = 2**20
 
+# Points whose kernel terms one step of a kernel sum forms at once.
+_TERM_BLOCK = 1024
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -213,16 +216,23 @@ class KernelCombination:
     def _kernel_sum(self, z: np.ndarray, theta: np.ndarray, dph=None) -> np.ndarray:
         """f at the flat points z from Theta there, or f' from Theta and phi'.
 
-        The (1 x K) @ (K x n) product rounds by n, so a caller gets the bits
-        of f on a batch only by handing that whole batch here."""
-        den = z[None, :] - self._wbar[:, None]
-        num = 1.0 - self._qbar[:, None] * theta[None, :]
-        if dph is None:
-            terms = num / den
-        else:
-            dtheta = 1j * dph * theta
-            terms = (-self._qbar[:, None] * dtheta[None, :] * den - num) / den**2
-        return (0.5j / math.pi) * (self.coefficients[None, :] @ terms)[0]
+        The K x n kernel terms fill one buffer _TERM_BLOCK points at a time,
+        each with the bits of the whole-batch form (numpy rounds these
+        elementwise steps alike at any position); the (1 x K) @ (K x n)
+        product rounds by n, so a caller gets the bits of f on a batch only
+        by handing that whole batch here."""
+        terms = np.empty((self.anchors.size, z.size), dtype=complex)
+        for lo in range(0, z.size, _TERM_BLOCK):
+            at = slice(lo, lo + _TERM_BLOCK)
+            den = z[None, at] - self._wbar[:, None]
+            num = 1.0 - self._qbar[:, None] * theta[None, at]
+            if dph is None:
+                terms[:, at] = num / den
+            else:
+                dtheta = 1j * dph[at] * theta[at]
+                terms[:, at] = (-self._qbar[:, None] * dtheta[None, :] * den - num) / den**2
+        sums = (self.coefficients[None, :] @ terms)[0]
+        return np.multiply(0.5j / math.pi, sums, out=sums)
 
     def _moments(self, k_max: int = 3):
         """Moments s_k = sum alpha wbar^k and t_k = sum alpha qbar wbar^k, and

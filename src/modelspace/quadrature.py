@@ -127,7 +127,6 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
         live = ~done
         on = np.repeat(live, sizes)
         split &= on
-        kept = np.flatnonzero(on & ~split)
         keys = [key for key, keep in zip(keys, live) if keep]
         held, halves = (sizes - halves)[live], halves[live]
         a, b = panels[split, 0], panels[split, 1]
@@ -136,6 +135,10 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
         new = np.concatenate([np.column_stack([a, mid]), np.column_stack([mid, b])])
         if len(keys) > 1:
             new = new[_in_turn(halves, halves)]
+        kept = on & ~split
+        # no per-panel array of the last round outlives this into the groups
+        panels, vals, errs = panels[kept], vals[kept], errs[kept]
+        del a, b, mid, on, split, kept
         counts, tols, rounds = 2 * halves, tols[live], rounds[live] + 1
         opened = []
         while jobs and len(keys) < _MAX_OPEN:
@@ -159,21 +162,19 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
             if end - lo >= _GROUP_ROWS or i == len(ends) - 1:
                 parts.append(_gk_apply(rows, keys[first:i + 1], counts[first:i + 1], new[lo:end]))
                 lo, first = end, i + 1
-        new_vals = np.concatenate([v for v, _ in parts])
-        new_errs = np.concatenate([e for _, e in parts])
+        new_vals, new_errs = map(np.concatenate, zip(*parts))
         firsts = [new_vals[end - n:end].sum() for n, end in zip(counts[len(tols):].tolist(),
                                                               ends[len(tols):])]
         tols = np.concatenate([tols, [max(abs_tol, rel_tol * abs(float(np.real(s))))
                                       for s in firsts]])
         # the kept panels of the open integrals, then the new ones, each
         # integral's gathered in turn
-        take = np.concatenate([kept, len(errs) + np.arange(len(new))])
-        if len(keys) > 1:
-            take = take[_in_turn(held, counts)]
-        panels = np.concatenate([panels, new]).take(take, axis=0)
-        vals = np.concatenate([vals, new_vals]).take(take)
-        errs = np.concatenate([errs, new_errs]).take(take)
+        order = _in_turn(held, counts) if len(keys) > 1 else slice(None)
+        panels = np.concatenate([panels, new])[order]
+        vals = np.concatenate([vals, new_vals])[order]
+        errs = np.concatenate([errs, new_errs])[order]
         sizes = held + counts
+        del new_vals, new_errs, order
 
 
 def integrate_panels(f, panels, abs_tol: float, rel_tol: float = 0.0) -> QuadratureResult:

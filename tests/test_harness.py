@@ -1,6 +1,7 @@
 """Corpus generation, certified L^p norms and derivative identities."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,22 @@ def test_derivative_bits_match_phase_arrays_oracle(spec_two):
                               (f(x), oracles.kernel_combination_values(f, x)),
                               (f(z), oracles.kernel_combination_values(f, z))):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_kernel_sums_hold_one_buffer_of_terms(spec_one):
+    # the K x n kernel terms fill one buffer block by block, and everything
+    # else a call holds is O(K * 1024 + n): the peak stays below two buffers
+    f = random_model_function(spec_one, 5, seed=3)
+    x = np.linspace(-50.0, 50.0, 2**17)
+    buffer = f.anchors.size * x.size * 16
+    for call in (f, f.derivative):
+        tracemalloc.start()
+        try:
+            call(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * buffer
 
 
 def test_membership_orthogonal_to_shifted_hardy_kernel(spec_two):
