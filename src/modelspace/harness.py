@@ -465,10 +465,14 @@ def _with_tail(res, profile: DecayProfile, spec: InnerFunctionSpec, p: float, ra
 
 
 def _certified_at(mass: float, unc: float, radius: float, quad_err: float) -> bool:
-    """Whether (mass, unc) at radius certifies; LpNormError at the last
-    radius, naming the quadrature error and the tail bound that unc sums."""
+    """Whether (mass, unc) at radius certifies; LpNormError when the quadrature
+    error alone exceeds the budget, which no larger radius mends, or at the
+    last radius, naming the quadrature error and the tail bound that unc sums."""
     if unc <= NORM_REL_TOL * mass:
         return True
+    if quad_err > NORM_REL_TOL * mass:
+        raise LpNormError(f"quadrature error {quad_err:.3e} exceeds the budget {NORM_REL_TOL:.0e} "
+                          f"* mass {mass:.3e} at radius {radius:.0f}")
     if radius == _RADII[-1]:
         raise LpNormError(
             f"uncertainty {unc:.3e} (quadrature error {quad_err:.3e}, tail bound "
@@ -515,9 +519,19 @@ def _mass_integrand(f: KernelCombination, p: float, derivative: bool):
     fn = f.derivative if derivative else f
 
     def values(x):
-        return np.abs(fn(x)) ** p
+        return _power(fn(x), p, derivative)
 
     return p, profile, values
+
+
+def _power(sums: np.ndarray, p: float, derivative: bool) -> np.ndarray:
+    """|sums|^p, a norm's interior integrand; LpNormError naming p on overflow."""
+    try:
+        with np.errstate(over="raise"):
+            return np.abs(sums) ** p
+    except FloatingPointError:
+        name = "|f'|^p" if derivative else "|f|^p"
+        raise LpNormError(f"interior integrand {name} at p = {p:g} overflows") from None
 
 
 def _certified_norm(f: KernelCombination, p: float, derivative: bool):
@@ -558,11 +572,16 @@ def _certified_masses(items) -> list:
             end = start + count * _ROW
             sums = f._kernel_sum(flat[start:end], theta[start:end],
                                  dphi[start:end] if derivative else None)
-            vals[start:end] = np.abs(sums) ** setups[k][0]
+            try:
+                vals[start:end] = _power(sums, setups[k][0], derivative)
+            except LpNormError as exc:  # fails as alone; a zero integrand ends it
+                out[k], vals[start:end] = exc, 0.0
             start = end
         return vals
 
     for (k, level), res in quadrature._lockstep(jobs, rows, 1e-13, _INTERIOR_REL_TOL):
+        if out[k] is not None:
+            continue
         p, profile, _ = setups[k]
         radius = _RADII[level]
         try:

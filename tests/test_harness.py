@@ -321,16 +321,43 @@ def test_norm_names_an_overflowing_tail_bound(spec_one):
             norm(f, 400.0)
 
 
-def test_last_radius_error_names_quadrature_and_tail(spec_one):
+def test_last_radius_error_names_quadrature_and_tail(spec_one, monkeypatch):
     # at p = 64 the mass is about 3e-14; the quadrature meets its absolute
-    # floor with an error estimate above 1e-6 of that, while the tail bound
-    # is 0 at every radius
+    # floor with an error estimate above 1e-6 of that, which no larger radius
+    # mends, so the norm fails after one interior pass at the first radius
     f = random_model_function(spec_one, 5, 2)
+    passes = []
+    real = quadrature.integrate_panels
+    monkeypatch.setattr(quadrature, "integrate_panels",
+                        lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
     with pytest.raises(LpNormError) as exc:
         lp_norm(f, 64.0)
     assert str(exc.value) == (
-        "uncertainty 2.444e-17 (quadrature error 2.444e-17, tail bound 0.000e+00) "
-        "still above 1e-06 * mass 2.814e-14 at radius 32000")
+        "quadrature error 2.444e-17 exceeds the budget 1e-06 * mass 2.814e-14 at radius 2000")
+    assert len(passes) == 1
+
+
+def test_huge_p_names_the_overflowing_interior_integrand(spec_one):
+    # |5 f| exceeds 1 on the panels, so |f|^p overflows inside the interior
+    # quadrature before any tail bound is formed; one at a time and in a
+    # corpus pass the norm fails with an error naming p and the integrand,
+    # and no NumPy warning
+    f = random_model_function(spec_one, 5, 2)
+    big = KernelCombination(spec=spec_one, anchors=f.anchors, coefficients=5.0 * f.coefficients)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm, name in ((lp_norm, "|f|^p"), (derivative_lp_norm, "|f'|^p")):
+            with pytest.raises(LpNormError) as exc:
+                norm(big, 1e308)
+            assert str(exc.value) == f"interior integrand {name} at p = 1e+308 overflows"
+        items = [(f, 2.0, False), (big, 1e308, False), (big, 1e308, True), (f, 2.0, True)]
+        got = _certified_masses(items)
+    assert [str(o) for o in got[1:3]] == [
+        "interior integrand |f|^p at p = 1e+308 overflows",
+        "interior integrand |f'|^p at p = 1e+308 overflows"]
+    # the other items keep the bits they have alone
+    for o, (g, p, derivative) in ((got[0], items[0]), (got[3], items[3])):
+        assert (o[0] ** (1.0 / p), o[1]) == _certified_norm(g, p, derivative)
 
 
 def test_norm_p1_needs_cancellation(spec_one):
