@@ -226,11 +226,10 @@ class KernelCombination:
             at = slice(lo, lo + _TERM_BLOCK)
             den = z[None, at] - self._wbar[:, None]
             num = 1.0 - self._qbar[:, None] * theta[None, at]
-            if dph is None:
-                terms[:, at] = num / den
-            else:
+            if dph is not None:
                 dtheta = 1j * dph[at] * theta[at]
-                terms[:, at] = (-self._qbar[:, None] * dtheta[None, :] * den - num) / den**2
+                num, den = -self._qbar[:, None] * dtheta[None, :] * den - num, den**2
+            np.divide(num, den, out=terms[:, at])
         sums = (self.coefficients[None, :] @ terms)[0]
         return np.multiply(0.5j / math.pi, sums, out=sums)
 

@@ -135,9 +135,9 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
         new = np.concatenate([np.column_stack([a, mid]), np.column_stack([mid, b])])
         if len(keys) > 1:
             new = new[_in_turn(halves, halves)]
-        kept = on & ~split
+        kept = np.flatnonzero(on & ~split)
         # no per-panel array of the last round outlives this into the groups
-        panels, vals, errs = panels[kept], vals[kept], errs[kept]
+        panels, vals, errs = panels.take(kept, axis=0), vals.take(kept), errs.take(kept)
         del a, b, mid, on, split, kept
         counts, tols, rounds = 2 * halves, tols[live], rounds[live] + 1
         opened = []
@@ -169,10 +169,10 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
                                       for s in firsts]])
         # the kept panels of the open integrals, then the new ones, each
         # integral's gathered in turn
-        order = _in_turn(held, counts) if len(keys) > 1 else slice(None)
-        panels = np.concatenate([panels, new])[order]
-        vals = np.concatenate([vals, new_vals])[order]
-        errs = np.concatenate([errs, new_errs])[order]
+        order = _in_turn(held, counts)
+        panels = np.concatenate([panels, new]).take(order, axis=0)
+        vals = np.concatenate([vals, new_vals]).take(order)
+        errs = np.concatenate([errs, new_errs]).take(order)
         sizes = held + counts
         del new_vals, new_errs, order
 
