@@ -216,11 +216,10 @@ class KernelCombination:
     def _kernel_sum(self, z: np.ndarray, theta: np.ndarray, dph=None) -> np.ndarray:
         """f at the flat points z from Theta there, or f' from Theta and phi'.
 
-        The K x n kernel terms fill one buffer _TERM_BLOCK points at a time,
-        each with the bits of the whole-batch form (numpy rounds these
-        elementwise steps alike at any position); the (1 x K) @ (K x n)
-        product rounds by n, so a caller gets the bits of f on a batch only
-        by handing that whole batch here."""
+        The K x n kernel terms fill one buffer _TERM_BLOCK points at a time
+        and keep their bits, as each elementwise step rounds alike at any
+        position; the (1 x K) @ (K x n) product rounds by n, so a caller gets
+        the bits of f on a batch only by handing that whole batch here."""
         terms = np.empty((self.anchors.size, z.size), dtype=complex)
         for lo in range(0, z.size, _TERM_BLOCK):
             at = slice(lo, lo + _TERM_BLOCK)
