@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +79,6 @@ class SplitMix64:
         r = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
         ang = TWO_PI * self.uniform()
         return r * math.cos(ang), r * math.sin(ang)
-
-    def complex_gaussian(self) -> complex:
-        re, im = self.gaussian_pair()
-        return complex(re, im)
 
 
 @dataclass(frozen=True)
@@ -232,24 +227,19 @@ class KernelCombination:
         sums = (self.coefficients[None, :] @ terms)[0]
         return np.multiply(0.5j / math.pi, sums, out=sums)
 
-    def _moments(self, k_max: int = 3):
-        """Moments s_k = sum alpha wbar^k and t_k = sum alpha qbar wbar^k, and
-        the bounds u_k = sum |alpha| (1 + |q|) |w|^k, v_k = sum |alpha| |q| |w|^k."""
+    def _moments(self):
+        """Moments s_k = sum alpha wbar^k and t_k = sum alpha qbar wbar^k, k <= 3,
+        and bounds u_k = sum |alpha| (1 + |q|) |w|^k, v_k = sum |alpha| |q| |w|^k."""
         al = self.coefficients
-        s = [complex(np.sum(al * self._wbar**k)) for k in range(k_max + 1)]
-        t = [complex(np.sum(al * self._qbar * self._wbar**k)) for k in range(k_max + 1)]
-        aw = np.abs(al) * np.abs(self._wbar) ** np.arange(k_max + 1)[:, None]
+        s = [complex(np.sum(al * self._wbar**k)) for k in range(4)]
+        t = [complex(np.sum(al * self._qbar * self._wbar**k)) for k in range(4)]
+        aw = np.abs(al) * np.abs(self._wbar) ** np.arange(4)[:, None]
         u = aw @ (1.0 + np.abs(self._qbar))
         v = aw @ np.abs(self._qbar)
         return s, t, u, v
 
     def _cancelling(self, s, t, u) -> bool:
         return max(abs(s[0]), abs(t[0])) <= 1e-9 * max(float(u[0]), 1e-300)
-
-    def is_cancelling(self) -> bool:
-        """True when both zeroth moments vanish, giving 1/x^2 tail decay."""
-        s, t, u, _ = self._moments(0)
-        return self._cancelling(s, t, u)
 
     def decay_profile(self) -> DecayProfile:
         # 1/(x - wbar) = sum_{k<K} wbar^k / x^{k+1} + wbar^K / (x^K (x - wbar)):
@@ -483,19 +473,19 @@ def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
             radius: float):
     """Certified integral of values_fn = |f|^p over the line: (mass,
     uncertainty, quadrature result) of _with_tail, the interior by adaptive
-    quadrature on [-radius, radius] to _INTERIOR_REL_TOL."""
-    res = quadrature.integrate_panels(values_fn, _mass_panels(spec, radius), 1e-13,
-                                      rel_tol=_INTERIOR_REL_TOL)
+    quadrature on [-radius, radius] to _INTERIOR_TOL."""
+    res = quadrature.integrate_panels(values_fn, _mass_panels(spec, radius), *_INTERIOR_TOL)
     return (*_with_tail(res, profile, spec, p, radius), res)
 
 
 _RADII = (2000.0, 8000.0, 32000.0)
 
-# Relative tolerance of the interior quadrature; its absolute floor is 1e-13.
-_INTERIOR_REL_TOL = 1e-10
+# Absolute floor and relative tolerance of the interior quadrature.
+_INTERIOR_TOL = (1e-13, 1e-10)
 
 
 def _certified_mass(values_fn, profile, spec, p):
+    """(mass, uncertainty, quadrature result, radius): the radius ladder."""
     for radius in _RADII:
         mass, unc, res = _p_mass(values_fn, profile, spec, p, radius)
         if _certified_at(mass, unc, radius, res.error_bound):
@@ -543,20 +533,20 @@ def _certified_norm(f: KernelCombination, p: float, derivative: bool):
 def _certified_masses(items) -> list:
     """(mass, uncertainty, radius) of _certified_mass for each (f, p,
     derivative) item, with its bits, or the exception it raises; the items
-    share one spec and are certified in one lockstep quadrature.  Theta and
-    phi' are taken once per group of rows, from a panel table that lives for
-    this pass; the kernel sums, which round by batch, run on each integral's
-    own rows.
+    share one spec.  All are integrated at the first radius in one lockstep
+    quadrature, and any that does not certify there goes to _certified_mass.
+    Theta and phi' come once per group of rows from a panel table that lives
+    for this pass; the kernel sums, which round by batch, run on each
+    integral's own rows.
     """
     spec = items[0][0].spec if items else None
     if any(f.spec != spec for f, _, _ in items):
         raise ValueError("certified masses of one pass need a common spec")
     table = _PanelTable(spec) if items else None
-    out, setups, jobs = [None] * len(items), {}, deque()
+    out, setups = [None] * len(items), {}
     for k, (f, p, derivative) in enumerate(items):
         try:
             setups[k] = _mass_integrand(f, p, derivative)
-            jobs.append(((k, 0), _mass_panels(spec, _RADII[0])))
         except (ValueError, ArithmeticError) as exc:
             out[k] = exc
 
@@ -565,7 +555,7 @@ def _certified_masses(items) -> list:
         theta, dphi = table.values(x)
         vals = np.empty(flat.size)
         start = 0
-        for (k, _), count in zip(keys, counts):
+        for k, count in zip(keys, counts):
             f, _, derivative = items[k]
             end = start + count * _ROW
             sums = f._kernel_sum(flat[start:end], theta[start:end],
@@ -577,17 +567,17 @@ def _certified_masses(items) -> list:
             start = end
         return vals
 
-    for (k, level), res in quadrature._lockstep(jobs, rows, 1e-13, _INTERIOR_REL_TOL):
+    jobs = ((k, _mass_panels(spec, _RADII[0])) for k in setups)
+    for k, res in quadrature._lockstep(jobs, rows, *_INTERIOR_TOL):
         if out[k] is not None:
             continue
-        p, profile, _ = setups[k]
-        radius = _RADII[level]
+        p, profile, values = setups[k]
+        radius = _RADII[0]
         try:
             mass, unc = _with_tail(res, profile, spec, p, radius)
-            if _certified_at(mass, unc, radius, res.error_bound):
-                out[k] = (mass, unc, radius)
-            else:
-                jobs.append(((k, level + 1), _mass_panels(spec, _RADII[level + 1])))
+            if not _certified_at(mass, unc, radius, res.error_bound):
+                mass, unc, _, radius = _certified_mass(values, profile, spec, p)
+            out[k] = (mass, unc, radius)
         except (ValueError, ArithmeticError) as exc:
             out[k] = exc
     return out
@@ -656,7 +646,7 @@ def _draws(spec: InnerFunctionSpec, count: int, seed: int):
             re = -5.0 + 10.0 * rng.uniform()
             im = 0.2 + 2.8 * rng.uniform()
             anchors[j] = complex(re, im)
-        coeffs = np.array([rng.complex_gaussian() for _ in range(count)])
+        coeffs = np.array([complex(*rng.gaussian_pair()) for _ in range(count)])
         if count >= 3:
             qbar = np.conj(evaluate(spec, anchors))
             cons = np.vstack([np.ones(count, dtype=complex), qbar])

@@ -16,7 +16,6 @@ used by the embedding certificates, with their closed-form upper bounds.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,8 +176,8 @@ def _xi_integrals(pairs, m: int) -> list:
                 * sinc(x.ravel() - np.repeat(ends[keys, 1], reps)) ** k)
 
     mids, halves = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * np.abs(ends[:, 1] - ends[:, 0])
-    jobs = deque((i, mid + quadrature.two_sided_panels(half + radius, inner=half + 20.0))
-                 for i, (mid, half) in enumerate(zip(mids, halves)))
+    jobs = ((i, mid + quadrature.two_sided_panels(half + radius, inner=half + 20.0))
+            for i, (mid, half) in enumerate(zip(mids, halves)))
     done = dict(quadrature._lockstep(jobs, rows, abs_tol))
     return [float(done[i].require_converged(what).value) for i in range(len(ends))]
 

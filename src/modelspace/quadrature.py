@@ -13,7 +13,6 @@ length (real or complex).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +93,8 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
     """Adaptive GK15 integrals in lockstep; yields (key, QuadratureResult) as
     each finishes.
 
-    jobs is a deque of (key, panels), drawn whenever fewer than _MAX_OPEN
-    integrals are open; the caller may append to it between results.  Each
+    jobs is an iterable of (key, panels), drawn whenever fewer than _MAX_OPEN
+    integrals are open.  Each
     integral keeps the rule of integrate_panels on its own (its panels in
     order, its own error total, tolerance max(abs_tol, rel_tol |Re I1|)), so
     its result does not depend on the others.  A round splits the panels of
@@ -104,6 +103,7 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
     integrand at the (n, 15) Kronrod rows x, counts[i] panels of keys[i] in
     turn, each integral's rows as it alone would evaluate them.
     """
+    jobs = iter(jobs)
     keys, sizes, tols, rounds = [], np.zeros(0, np.intp), np.zeros(0), np.zeros(0, np.intp)
     # each open integral's panels in turn: the kept ones, then the new ones
     panels, vals, errs = np.zeros((0, 2)), np.zeros(0), np.zeros(0)
@@ -141,8 +141,8 @@ def _lockstep(jobs, rows, abs_tol: float, rel_tol: float = 0.0):
         del a, b, mid, on, split, kept
         counts, tols, rounds = 2 * halves, tols[live], rounds[live] + 1
         opened = []
-        while jobs and len(keys) < _MAX_OPEN:
-            key, job = jobs.popleft()
+        while len(keys) < _MAX_OPEN and (drawn := next(jobs, None)):
+            key, job = drawn
             job = np.asarray(job, dtype=float).reshape(-1, 2)
             if not len(job):
                 yield key, QuadratureResult(0.0, 0.0, 0, 0.0 <= abs_tol)
@@ -184,7 +184,7 @@ def integrate_panels(f, panels, abs_tol: float, rel_tol: float = 0.0) -> Quadrat
     the estimate from the given panels.  The result's converged flag is False
     when refinement stopped short of the tolerance (panel budget, round cap or
     floating-point width)."""
-    ((_, result),) = _lockstep(deque([(None, panels)]), lambda keys, counts, x: f(x.ravel()),
+    ((_, result),) = _lockstep([(None, panels)], lambda keys, counts, x: f(x.ravel()),
                                abs_tol, rel_tol)
     return result
 

@@ -7,6 +7,7 @@ the corpus commands fail with the error the one-at-a-time order meets first.
 import importlib.util
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -74,6 +75,31 @@ def test_lockstep_escalates_like_one_at_a_time(spec_one, monkeypatch):
     want = _alone(items)
     assert any(isinstance(o, LpNormError) for o in want)
     assert _bits(_certified_masses(items)) == _bits(want)
+
+
+def test_lockstep_hands_escalating_items_to_the_single_ladder(spec_one, monkeypatch):
+    # the lockstep pass integrates only the first radius; an item that does
+    # not certify there climbs the radius ladder of _certified_mass alone
+    funcs = [random_model_function(spec_one, 5, seed=s) for s in (7, 8)]
+    items = _items(funcs, ps=(1.0, 2.0))
+    monkeypatch.setattr(harness, "NORM_REL_TOL", 1e-9)
+    monkeypatch.setattr(quadrature, "_MAX_OPEN", 3)
+    want = _alone(items)
+    real = harness._certified_mass
+    calls = []
+
+    def counted(values, profile, spec, p):
+        calls.append((p, profile))
+        return real(values, profile, spec, p)
+
+    monkeypatch.setattr(harness, "_certified_mass", counted)
+    got = _certified_masses(items)
+    assert _bits(got) == _bits(want)
+    # (p, tail profile) names each item: the functions differ, and so do f and f'
+    escalated = [_mass_integrand(*item)[:2] for item, o in zip(items, want) if o[2] > 2000.0]
+    assert escalated and len(escalated) < len(items)
+    assert len(set(escalated)) == len(escalated)
+    assert Counter(calls) == Counter(escalated)
 
 
 def test_lockstep_reports_each_items_own_error(spec_one, spec_pw):

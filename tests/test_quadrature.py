@@ -152,8 +152,6 @@ def test_relative_tolerance_is_the_rough_pass_folded_in():
 
 
 def test_lockstep_integrals_match_each_alone(monkeypatch):
-    from collections import deque
-
     from modelspace import quadrature
     from modelspace.quadrature import _lockstep
 
@@ -171,16 +169,7 @@ def test_lockstep_integrals_match_each_alone(monkeypatch):
         parts = np.split(x, np.cumsum(counts)[:-1])
         return np.concatenate([fns[k](part.ravel()) for k, part in zip(keys, parts)])
 
-    jobs = deque([(0, layouts[0])])
-    queued = {0}
-    got = {}
-    for key, res in _lockstep(jobs, rows, 1e-12, 1e-9):
-        got[key] = res
-        # the caller queues more work as results come in
-        for k in {key + 1, key + 2} - queued:
-            if k < len(fns):
-                jobs.append((k, layouts[k]))
-                queued.add(k)
+    got = dict(_lockstep(enumerate(layouts), rows, 1e-12, 1e-9))
     assert sorted(got) == list(range(len(fns)))
     for k, res in got.items():
         assert (res.value, res.error_bound, res.panel_count, res.converged) == \
@@ -192,8 +181,6 @@ def test_lockstep_mixes_every_stopping_reason(monkeypatch):
     # one pass holds integrals that converge, hit the panel cap, stop with
     # every panel at floating-point width, or have no panels at all; each
     # keeps the result integrate_panels gives it alone
-    from collections import deque
-
     from modelspace.quadrature import _lockstep
 
     monkeypatch.setattr(quadrature, "MAX_PANELS", 32)
@@ -219,7 +206,7 @@ def test_lockstep_mixes_every_stopping_reason(monkeypatch):
         parts = np.split(x, np.cumsum(counts)[:-1])
         return np.concatenate([cases[k][0](part.ravel()) for k, part in zip(keys, parts)])
 
-    got = dict(_lockstep(deque(enumerate(panels for _, panels in cases)), rows, 1e-12))
+    got = dict(_lockstep(enumerate(panels for _, panels in cases), rows, 1e-12))
     assert sorted(got) == list(range(len(cases)))
     for k, want in enumerate(alone):
         res = got[k]
