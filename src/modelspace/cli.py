@@ -24,9 +24,6 @@ from .kernel import SincKernelSpec, _xi_integrals, higher_power_bound, sinc
 # bound here as before the lockstep lemma checks; perfbench wraps this binding
 from .kernel import xi_power_product_integral, xi_product_integral  # noqa: F401
 
-COMMANDS = ("nodes", "reconstruct", "decay", "density", "certify-sieve",
-            "certify-bernstein", "lemma-checks")
-
 # comparison slack for declaring a certified inequality violated
 VIOLATION_TOL = 1e-9
 
@@ -104,8 +101,11 @@ def _num(params: dict, key: str, default=None):
     return _param(params, key, default, _require_number)
 
 
-def _int(params: dict, key: str, default=None):
-    return _param(params, key, default, _require_int)
+def _int(params: dict, key: str, default=None, least=-math.inf):
+    val = _param(params, key, default, _require_int)
+    if val < least:
+        raise ConfigError(f"params.{key}: expected an integer >= {least}, got {val!r}")
+    return val
 
 
 def _num_list(params: dict, key: str, default=None):
@@ -131,11 +131,9 @@ def _out_path(config: dict, out_dir: str, default_name: str) -> str:
 
 
 def _corpus(spec, params):
-    size = _int(params, "size", 20)
-    count = _int(params, "count", 5)
+    size = _int(params, "size", 20, least=1)
+    count = _int(params, "count", 5, least=1)
     seed = _int(params, "seed", 1)
-    if size < 1 or count < 1:
-        raise ConfigError("params.size and params.count must be >= 1")
     funcs = harness._random_model_functions(spec, count, [seed + 1000 * i for i in range(size)])
     return funcs, seed, count
 
@@ -181,12 +179,11 @@ def _reconstruct_window(spec, method, window, params, f, xs):
     """Reconstruction on xs of f from its samples on the method's grid,
     indices -window..window."""
     if method == "shannon":
-        b = spec.c / 2.0
-        nodes = np.arange(-window, window + 1) * (math.pi / b)
-        return reconstruct.shannon_reconstruct(f(nodes), b, xs)
+        nodes = reconstruct._uniform_nodes(2 * window + 1, spec.c / 2.0)
+        return reconstruct.shannon_reconstruct(f(nodes), spec.c / 2.0, xs)
     if method == "pw_oversample":
         kspec = SincKernelSpec(power=_int(params, "N", 2), a=_num(params, "a", 0.5), c=spec.c / 2.0)
-        nodes = np.arange(-window, window + 1) * (math.pi / kspec.b)
+        nodes = reconstruct._uniform_nodes(2 * window + 1, kspec.b)
         return reconstruct.pw_oversample_reconstruct(f(nodes), kspec, xs)
     gamma = _num(params, "gamma", 0.0)
     if method == "clark":
@@ -216,7 +213,7 @@ def _cmd_reconstruct(config, out_dir):
     method = params.get("method")
     if method not in reconstruct._METHODS:
         raise ConfigError(f"params.method: expected one of {reconstruct._METHODS}, got {method!r}")
-    window = _int(params, "window", 300)
+    window = _int(params, "window", 300, least=0)
     xs = _query_grid(params, -3.0, 3.0)
     f = _target(spec, method, params)
     truth = f(xs)
@@ -234,8 +231,9 @@ def _cmd_decay(config, out_dir):
     spec = _section(config, "inner", from_dict)
     params = _as_params(config)
     methods = params.get("methods", ["shannon", "pw_oversample"])
-    if not isinstance(methods, list) or any(m not in reconstruct._METHODS for m in methods):
-        raise ConfigError(f"params.methods: expected a list drawn from {reconstruct._METHODS}")
+    if not isinstance(methods, list) or not methods \
+            or any(m not in reconstruct._METHODS for m in methods):
+        raise ConfigError(f"params.methods: expected a nonempty list from {reconstruct._METHODS}")
     windows = _param(params, "windows", (25, 50, 100, 200, 400), _integer_list)
     if any(k < 1 for k in windows):
         raise ConfigError("params.windows: entries must be >= 1")
@@ -336,8 +334,8 @@ def _cmd_certify_bernstein(config, out_dir):
 def _cmd_lemma_checks(config, out_dir):
     params = _as_params(config)
     seed = _int(params, "seed", 1)
-    pairs = _int(params, "pairs", 50)
-    m_pairs = _int(params, "m_pairs", 20)
+    pairs = _int(params, "pairs", 50, least=1)
+    m_pairs = _int(params, "m_pairs", 20, least=1)
     rng = harness.SplitMix64(seed)
     rows = []
     violations = 0
@@ -386,6 +384,7 @@ _DISPATCH = {
     "certify-bernstein": _cmd_certify_bernstein,
     "lemma-checks": _cmd_lemma_checks,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def main(argv=None) -> int:

@@ -41,6 +41,9 @@ _WINDOW_SAMPLES = 2**20
 # Points whose kernel terms one step of a kernel sum forms at once.
 _TERM_BLOCK = 1024
 
+# Why no function is drawn or combined over a degenerate spec.
+_ONLY_ZERO = "c = 0 and no zeros make Theta a unimodular constant: its model space holds only 0"
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -190,6 +193,8 @@ class KernelCombination:
             raise ValueError("coefficients and anchors must have matching length")
         if np.any(self.anchors.imag <= 0.0):
             raise ValueError("anchors must lie strictly in the upper half-plane")
+        if self.spec.is_degenerate:
+            raise ValueError(_ONLY_ZERO)
         self._wbar = np.conj(self.anchors)
         self._qbar = np.conj(evaluate(self.spec, self.anchors))
         self._drift = _phase_drift(self.spec)
@@ -639,6 +644,8 @@ def _draws(spec: InnerFunctionSpec, count: int, seed: int):
     draws continue the same stream, so results stay seed-pure."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
+    if spec.is_degenerate:
+        raise ValueError(_ONLY_ZERO)
     rng = SplitMix64(seed)
     while True:
         anchors = np.empty(count, dtype=complex)

@@ -175,6 +175,14 @@ def test_reconstruct_bad_method(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reconstruct_rejects_a_negative_window(tmp_path, capsys):
+    cfg = {"command": "reconstruct", "inner": {"c": 2.0},
+           "params": {"method": "shannon", "window": -3}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == \
+        "config error: params.window: expected an integer >= 0, got -3\n"
+
+
 def test_reconstruct_output_override(tmp_path):
     cfg = {"command": "reconstruct", "inner": {"c": 2.0}, "output": "custom.csv",
            "params": {"method": "shannon", "window": 50, "x_count": 5}}
@@ -223,6 +231,14 @@ def test_decay_rejects_fractional_windows(tmp_path, capsys):
     assert run_cli(tmp_path, cfg) == 1
     assert "params.windows[0]: expected an integer, got 2.5" in capsys.readouterr().err
     assert not (tmp_path / "decay_shannon.csv").exists()
+
+
+def test_decay_rejects_an_empty_method_list(tmp_path, capsys):
+    cfg = {"command": "decay", "inner": {"c": 2.0}, "params": {"methods": [], "windows": [5]}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: params.methods: expected a nonempty list")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_decay_clark_route(tmp_path):
@@ -340,6 +356,16 @@ def test_certify_bernstein_command(tmp_path):
     assert (tmp_path / "certify_bernstein_manifest.json").exists()
 
 
+def test_certify_bernstein_refuses_a_degenerate_spec(tmp_path, capsys):
+    # c = 0 and no zeros: Theta is constant and K_Theta = {0}, so no corpus
+    # is drawn and no norm is certified
+    cfg = {"command": "certify-bernstein", "inner": {"tau": 1.0}, "params": {"size": 2}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == ("error: c = 0 and no zeros make Theta a unimodular "
+                                       "constant: its model space holds only 0\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_lemma_checks_command(tmp_path):
     cfg = {"command": "lemma-checks", "params": {"pairs": 10, "m_pairs": 4, "seed": 2}}
     assert run_cli(tmp_path, cfg) == 0
@@ -347,6 +373,16 @@ def test_lemma_checks_command(tmp_path):
     assert columns == ["check", "cases", "min_margin"]
     assert [r[0] for r in rows] == ["squared_product_bound", "fourth_power_bound"]
     assert all(float(r[2]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("key, value", [("pairs", -5), ("m_pairs", 0)])
+def test_lemma_checks_reject_pair_counts_below_one(tmp_path, capsys, key, value):
+    # no pairs would report an infinite margin for a check that ran nothing
+    cfg = {"command": "lemma-checks", "params": {"pairs": 2, "m_pairs": 2, key: value}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == \
+        f"config error: params.{key}: expected an integer >= 1, got {value}\n"
+    assert not (tmp_path / "lemma_checks.csv").exists()
 
 
 def test_lemma_checks_with_window_budget(tmp_path):

@@ -196,6 +196,18 @@ def test_single_kernel_profile(spec_one):
     assert f.decay_profile().order == 1
 
 
+def test_degenerate_spec_has_only_the_zero_function(monkeypatch):
+    # c = 0 and no zeros: Theta is a unimodular constant and K_Theta = {0}
+    spec = InnerFunctionSpec(tau=1.0)
+    with pytest.raises(ValueError, match="model space holds only 0"):
+        KernelCombination(spec=spec, anchors=np.array([1j]), coefficients=np.array([1.0 + 0j]))
+    # the draws refuse before they take a number from the stream
+    monkeypatch.setattr(harness, "SplitMix64", None)
+    for count in (1, 5):
+        with pytest.raises(ValueError, match="model space holds only 0"):
+            random_model_function(spec, count, seed=1)
+
+
 def test_derivative_profile_routes(spec_one):
     cancelled = random_model_function(spec_one, 5, seed=37)
     dprof = cancelled.derivative_profile()
