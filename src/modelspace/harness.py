@@ -41,7 +41,7 @@ _WINDOW_SAMPLES = 2**20
 # Points whose kernel terms one step of a kernel sum forms at once.
 _TERM_BLOCK = 1024
 
-# Why no function is drawn or combined over a degenerate spec.
+# The error of a spec whose model space K_Theta is {0}.
 _ONLY_ZERO = "c = 0 and no zeros make Theta a unimodular constant: its model space holds only 0"
 
 _MASK64 = (1 << 64) - 1
@@ -490,7 +490,7 @@ _INTERIOR_TOL = (1e-13, 1e-10)
 
 
 def _certified_mass(values_fn, profile, spec, p):
-    """(mass, uncertainty, quadrature result, radius): the radius ladder."""
+    """(mass, uncertainty, quadrature result, radius) at the first radius that certifies."""
     for radius in _RADII:
         mass, unc, res = _p_mass(values_fn, profile, spec, p, radius)
         if _certified_at(mass, unc, radius, res.error_bound):

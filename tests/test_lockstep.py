@@ -69,22 +69,8 @@ def test_lockstep_escalates_like_one_at_a_time(spec_one, monkeypatch):
     want = _alone(items)
     assert {o[2] for o in want} == {2000.0, 8000.0, 32000.0}
     monkeypatch.setattr(quadrature, "_MAX_OPEN", 3)
-    assert _bits(_certified_masses(items)) == _bits(want)
-    # here p = 2 fails at the last radius, and so does p = 1 for some items
-    monkeypatch.setattr(harness, "NORM_REL_TOL", 5e-11)
-    want = _alone(items)
-    assert any(isinstance(o, LpNormError) for o in want)
-    assert _bits(_certified_masses(items)) == _bits(want)
-
-
-def test_lockstep_hands_escalating_items_to_the_single_ladder(spec_one, monkeypatch):
     # the lockstep pass integrates only the first radius; an item that does
     # not certify there climbs the radius ladder of _certified_mass alone
-    funcs = [random_model_function(spec_one, 5, seed=s) for s in (7, 8)]
-    items = _items(funcs, ps=(1.0, 2.0))
-    monkeypatch.setattr(harness, "NORM_REL_TOL", 1e-9)
-    monkeypatch.setattr(quadrature, "_MAX_OPEN", 3)
-    want = _alone(items)
     real = harness._certified_mass
     calls = []
 
@@ -93,13 +79,16 @@ def test_lockstep_hands_escalating_items_to_the_single_ladder(spec_one, monkeypa
         return real(values, profile, spec, p)
 
     monkeypatch.setattr(harness, "_certified_mass", counted)
-    got = _certified_masses(items)
-    assert _bits(got) == _bits(want)
+    assert _bits(_certified_masses(items)) == _bits(want)
     # (p, tail profile) names each item: the functions differ, and so do f and f'
     escalated = [_mass_integrand(*item)[:2] for item, o in zip(items, want) if o[2] > 2000.0]
-    assert escalated and len(escalated) < len(items)
     assert len(set(escalated)) == len(escalated)
     assert Counter(calls) == Counter(escalated)
+    # here p = 2 fails at the last radius, and so does p = 1 for some items
+    monkeypatch.setattr(harness, "NORM_REL_TOL", 5e-11)
+    want = _alone(items)
+    assert any(isinstance(o, LpNormError) for o in want)
+    assert _bits(_certified_masses(items)) == _bits(want)
 
 
 def test_lockstep_reports_each_items_own_error(spec_one, spec_pw):
