@@ -26,6 +26,8 @@ _MAX_STEPS = 64
 # Targets or rows handled together by invert_phase and write_grid_csv; bounds
 # their workspace, which would otherwise grow with the node window.
 _CHUNK = 8192
+# Most nodes one grid may hold; refused before any array is allocated.
+_MAX_NODES = 2**22
 
 __all__ = ["NoNodesError", "SamplingGrid", "invert_phase", "solve_nodes",
            "node_spacing_bounds", "write_grid_csv"]
@@ -156,6 +158,8 @@ def solve_nodes(spec: InnerFunctionSpec, gamma: float, n_min: int, n_max: int) -
         raise TypeError("n_min and n_max must be integers")
     if n_min > n_max:
         raise ValueError(f"empty index range [{n_min}, {n_max}]")
+    if n_max - n_min >= _MAX_NODES:
+        raise ValueError(f"{n_max - n_min + 1} nodes exceed the limit of {_MAX_NODES}")
     if not spec.c > 0.0:
         raise NoNodesError(
             "node solving requires c > 0; with c = 0 the phase is bounded and "

@@ -26,6 +26,8 @@ from .kernel import xi_power_product_integral, xi_product_integral  # noqa: F401
 
 # comparison slack for declaring a certified inequality violated
 VIOLATION_TOL = 1e-9
+# most query points of one report; more are refused before numpy allocates them
+_MAX_QUERIES = 2**20
 
 
 class ConfigError(Exception):
@@ -204,6 +206,8 @@ def _query_grid(params, lo: float, hi: float) -> np.ndarray:
     if not (hi > lo and math.isfinite(hi - lo) and n >= 2):
         raise ConfigError("need x_max > x_min, both finite and a finite distance apart, "
                           "and x_count >= 2")
+    if n > _MAX_QUERIES:
+        raise ConfigError(f"params.x_count: {n} queries exceed the limit of {_MAX_QUERIES}")
     return np.linspace(lo, hi, n)
 
 

@@ -41,7 +41,8 @@ _WINDOW_SAMPLES = 2**20
 # Points whose kernel terms one step of a kernel sum forms at once.
 _TERM_BLOCK = 1024
 
-# The error of a spec whose model space K_Theta is {0}.
+# Rates c at or below this count as 0; the error of a spec whose K_Theta is {0}.
+_ZERO_RATE = 1e-12
 _ONLY_ZERO = "c = 0 and no zeros make Theta a unimodular constant: its model space holds only 0"
 
 _MASK64 = (1 << 64) - 1
@@ -121,15 +122,16 @@ class _PanelTable:
 
     The certified norms of one lockstep pass start from the same panels and
     only bisect them, so most rows recur; _certified_masses keeps a table for
-    that pass alone.  Theta and phi' bits of a point do not depend on the
-    batch it is evaluated in, so a stored row holds exactly what a fresh
-    evaluation returns.  A row is stored with its Theta and phi' both.  A
-    row hashes to one cell of a direct-mapped index with about 4 to 8 cells
-    per stored row; a hit needs the stored key to match the row bit for bit.
-    Row 0 holds the all-zero row and every free cell points at it.  Keys,
-    values and index are preallocated within _PANEL_BUDGET bytes.  A miss
-    whose cell is taken, or that comes once every row is taken, is
-    evaluated and not stored.
+    that pass alone, only for a spec with zeros (without them Theta is one
+    exponential, and a table would only cost memory).  Theta and phi' bits
+    of a point do not depend on the batch it is evaluated in, so a stored
+    row holds exactly what a fresh evaluation returns.  A row is stored with
+    its Theta and phi' both.  A row hashes to one cell of a direct-mapped
+    index with about 4 to 8 cells per stored row; a hit needs the stored key
+    to match the row bit for bit.  Row 0 holds the all-zero row and every
+    free cell points at it.  Keys, values and index are preallocated within
+    _PANEL_BUDGET bytes.  A miss whose cell is taken, or that comes once
+    every row is taken, is evaluated and not stored.
     """
 
     def __init__(self, spec: InnerFunctionSpec):
@@ -193,8 +195,7 @@ class KernelCombination:
             raise ValueError("coefficients and anchors must have matching length")
         if np.any(self.anchors.imag <= 0.0):
             raise ValueError("anchors must lie strictly in the upper half-plane")
-        if self.spec.is_degenerate:
-            raise ValueError(_ONLY_ZERO)
+        _refuse_degenerate(self.spec)
         self._wbar = np.conj(self.anchors)
         self._qbar = np.conj(evaluate(self.spec, self.anchors))
         self._drift = _phase_drift(self.spec)
@@ -267,7 +268,7 @@ class KernelCombination:
         Laurent remainders of both kernel terms and the phi' - c part.
         """
         c = self.spec.c
-        if c <= 1e-12:
+        if c <= _ZERO_RATE:
             raise LpNormError("derivative tail certification requires exponential type c > 0")
         s, t, u, v = self._moments()
         if self._cancelling(s, t, u):
@@ -286,6 +287,14 @@ class KernelCombination:
                             1j * c * t[1] - t[0], float(rest), self._reach)
 
 
+def _refuse_degenerate(spec: InnerFunctionSpec):
+    """ValueError for a spec without zeros whose c is 0 or counts as 0."""
+    if not spec.zeros and spec.c <= _ZERO_RATE:
+        raise ValueError(_ONLY_ZERO if spec.is_degenerate else
+                         f"c = {spec.c!r} is at or below the threshold {_ZERO_RATE:g} where c "
+                         "counts as 0: with no zeros its model space counts as holding only 0")
+
+
 def _phase_drift(spec: InnerFunctionSpec) -> float:
     """drift = 2 sum m v: 0 <= phi'(x) - c <= drift / (|x| - reach)^2 for |x| > reach."""
     return 2.0 * sum(z.mult * z.im for z in spec.zeros)
@@ -294,7 +303,7 @@ def _phase_drift(spec: InnerFunctionSpec) -> float:
 def _tail_samples(profile: DecayProfile, spec: InnerFunctionSpec, p: float) -> np.ndarray:
     """g(theta) = (|A - B e^{i theta}| / 2pi)^p on _TAIL_SAMPLES points of one period."""
     a, b = profile.lead_a, profile.lead_b
-    if spec.c <= 1e-12:
+    if spec.c <= _ZERO_RATE:
         # phase freezes at tau in both tails (Blaschke swing is a multiple of 2pi)
         return np.array([(abs(a - b * np.exp(1j * spec.tau)) / TWO_PI) ** p])
     return (np.abs(a - b * _TAIL_WAVE) / TWO_PI) ** p
@@ -354,7 +363,7 @@ def _sharp_tail_terms(g: np.ndarray, profile: DecayProfile, spec: InnerFunctionS
     bound is too weak.
     """
     c, big_r, n = spec.c, radius, g.size
-    if c <= 1e-12 or not big_r > profile.reach:
+    if c <= _ZERO_RATE or not big_r > profile.reach:
         return None
     m = p * profile.order
     la, lb = abs(profile.lead_a), abs(profile.lead_b)
@@ -410,7 +419,7 @@ def _tail_uncertainty(g: np.ndarray, profile: DecayProfile, spec: InnerFunctionS
     m = p * profile.order
     osc = 0.0
     gamp = float(g.max() - g.min())
-    if spec.c > 1e-12 and gamp > 0.0:
+    if spec.c > _ZERO_RATE and gamp > 0.0:
         osc = 2.0 * gamp * (TWO_PI / spec.c) * radius**-m
     lead_mag = 1.1 * (abs(profile.lead_a) + abs(profile.lead_b)) / TWO_PI
     corr = 8.0 * p * lead_mag ** (p - 1.0) * (profile.next_scale / TWO_PI) \
@@ -431,7 +440,7 @@ def _mass_panels(spec: InnerFunctionSpec, radius: float) -> np.ndarray:
     an estimate of 3e-14), so the annulus starts from panels GK15 resolves.
     """
     first = _RADII[0]
-    if radius <= first or spec.c <= 1e-12:
+    if radius <= first or spec.c <= _ZERO_RATE:
         return quadrature.two_sided_panels(radius, inner=16.0)
     count = int(math.ceil((radius - first) * spec.c / (2.0 * TWO_PI)))
     edges = np.linspace(first, radius, count + 1)
@@ -540,14 +549,15 @@ def _certified_masses(items) -> list:
     derivative) item, with its bits, or the exception it raises; the items
     share one spec.  All are integrated at the first radius in one lockstep
     quadrature, and any that does not certify there goes to _certified_mass.
-    Theta and phi' come once per group of rows from a panel table that lives
-    for this pass; the kernel sums, which round by batch, run on each
-    integral's own rows.
+    Theta and phi' come once per group of rows, from a panel table that
+    lives for this pass if the spec has zeros (a zero-free Theta is one
+    exponential, which a table would only cost memory to store); the kernel
+    sums, which round by batch, run on each integral's own rows.
     """
     spec = items[0][0].spec if items else None
     if any(f.spec != spec for f, _, _ in items):
         raise ValueError("certified masses of one pass need a common spec")
-    table = _PanelTable(spec) if items else None
+    table = _PanelTable(spec) if items and spec.zeros else None
     out, setups = [None] * len(items), {}
     for k, (f, p, derivative) in enumerate(items):
         try:
@@ -557,7 +567,8 @@ def _certified_masses(items) -> list:
 
     def rows(keys, counts, x):
         flat = x.reshape(-1)
-        theta, dphi = table.values(x)
+        theta, dphi = table.values(x) if table else (evaluate(spec, flat),
+                                                     phase_derivative(spec, flat))
         vals = np.empty(flat.size)
         start = 0
         for k, count in zip(keys, counts):
@@ -644,8 +655,7 @@ def _draws(spec: InnerFunctionSpec, count: int, seed: int):
     draws continue the same stream, so results stay seed-pure."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    if spec.is_degenerate:
-        raise ValueError(_ONLY_ZERO)
+    _refuse_degenerate(spec)
     rng = SplitMix64(seed)
     while True:
         anchors = np.empty(count, dtype=complex)

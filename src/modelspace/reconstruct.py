@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clark import SamplingGrid
+from .clark import _MAX_NODES, SamplingGrid
 from .inner import InnerFunctionSpec, enlarge, evaluate, phase_difference, shaped_like
 from .kernel import SincKernelSpec, pw_oversample_kernel, sinc
 
@@ -78,6 +78,8 @@ def truncate_samples(samples: SampleSet, window: int) -> SampleSet:
 def _uniform_nodes(count: int, b: float) -> np.ndarray:
     if count % 2 != 1:
         raise ValueError(f"sample count must be odd (symmetric window), got {count}")
+    if count > _MAX_NODES:
+        raise ValueError(f"{count} nodes exceed the limit of {_MAX_NODES}")
     half = (count - 1) // 2
     return np.arange(-half, half + 1) * (math.pi / b)
 

@@ -293,6 +293,14 @@ def test_solve_nodes_argument_validation(spec_one):
         solve_nodes(blaschke_only, 0.0, 0, 1)
 
 
+def test_solve_nodes_refuses_a_window_past_the_node_limit(spec_one, monkeypatch):
+    # refused before numpy is asked for the indices
+    monkeypatch.setattr(np, "arange", None)
+    with pytest.raises(ValueError, match="^2000000000001 nodes exceed the limit of 4194304$"):
+        solve_nodes(spec_one, 0.0, -10**12, 10**12)
+    assert clark._MAX_NODES == 2**22
+
+
 def test_solve_nodes_large_window(spec_one):
     # |phi| reaches 1.9e6 here, where one ulp is 2.3e-10 > RESIDUAL_TOL
     grid = solve_nodes(spec_one, 0.0, -300000, 300000)

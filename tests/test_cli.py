@@ -183,6 +183,32 @@ def test_reconstruct_rejects_a_negative_window(tmp_path, capsys):
         "config error: params.window: expected an integer >= 0, got -3\n"
 
 
+@pytest.mark.parametrize("command, params", [
+    ("nodes", {"n_min": -10**12, "n_max": 10**12}),
+    ("reconstruct", {"method": "shannon", "window": 10**12}),
+    ("decay", {"methods": ["pw_oversample"], "windows": [10**12]}),
+])
+def test_node_window_past_the_limit_is_an_error(tmp_path, capsys, monkeypatch, command, params):
+    # refused before numpy is asked for the nodes
+    monkeypatch.setattr(np, "arange", None)
+    cfg = {"command": command, "inner": {"c": 2.0}, "params": params}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == "error: 2000000000001 nodes exceed the limit of 4194304\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "decay"])
+def test_query_grid_past_the_limit_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # refused before numpy is asked for the grid
+    monkeypatch.setattr(np, "linspace", None)
+    cfg = {"command": command, "inner": {"c": 2.0},
+           "params": {"method": "shannon", "windows": [5], "x_count": 10**12}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == \
+        "config error: params.x_count: 1000000000000 queries exceed the limit of 1048576\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_reconstruct_output_override(tmp_path):
     cfg = {"command": "reconstruct", "inner": {"c": 2.0}, "output": "custom.csv",
            "params": {"method": "shannon", "window": 50, "x_count": 5}}
@@ -358,12 +384,17 @@ def test_certify_bernstein_command(tmp_path):
 
 def test_certify_bernstein_refuses_a_degenerate_spec(tmp_path, capsys):
     # c = 0 and no zeros: Theta is constant and K_Theta = {0}, so no corpus
-    # is drawn and no norm is certified
-    cfg = {"command": "certify-bernstein", "inner": {"tau": 1.0}, "params": {"size": 2}}
-    assert run_cli(tmp_path, cfg) == 1
-    assert capsys.readouterr().err == ("error: c = 0 and no zeros make Theta a unimodular "
-                                       "constant: its model space holds only 0\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    # is drawn and no norm is certified; a c that counts as 0 is refused alike
+    # instead of failing in the corpus draw
+    for inner, err in [({"tau": 1.0}, "c = 0 and no zeros make Theta a unimodular "
+                                      "constant: its model space holds only 0"),
+                       ({"tau": 1.0, "c": 1e-13},
+                        "c = 1e-13 is at or below the threshold 1e-12 where c counts as 0: "
+                        "with no zeros its model space counts as holding only 0")]:
+        cfg = {"command": "certify-bernstein", "inner": inner, "params": {"size": 2}}
+        assert run_cli(tmp_path, cfg) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_lemma_checks_command(tmp_path):

@@ -197,15 +197,21 @@ def test_single_kernel_profile(spec_one):
 
 
 def test_degenerate_spec_has_only_the_zero_function(monkeypatch):
-    # c = 0 and no zeros: Theta is a unimodular constant and K_Theta = {0}
-    spec = InnerFunctionSpec(tau=1.0)
-    with pytest.raises(ValueError, match="model space holds only 0"):
-        KernelCombination(spec=spec, anchors=np.array([1j]), coefficients=np.array([1.0 + 0j]))
+    # c = 0 and no zeros: Theta is a unimodular constant and K_Theta = {0};
+    # a c at or below the threshold where c counts as 0 is refused alike
+    cases = {0.0: "c = 0 and no zeros make Theta a unimodular constant: its model space",
+             1e-13: "c = 1e-13 is at or below the threshold 1e-12 where c counts as 0",
+             1e-12: "c = 1e-12 is at or below the threshold 1e-12 where c counts as 0"}
     # the draws refuse before they take a number from the stream
     monkeypatch.setattr(harness, "SplitMix64", None)
-    for count in (1, 5):
-        with pytest.raises(ValueError, match="model space holds only 0"):
-            random_model_function(spec, count, seed=1)
+    for c, message in cases.items():
+        spec = InnerFunctionSpec(tau=1.0, c=c)
+        with pytest.raises(ValueError, match=message):
+            KernelCombination(spec=spec, anchors=np.array([1j]),
+                              coefficients=np.array([1.0 + 0j]))
+        for count in (1, 5):
+            with pytest.raises(ValueError, match=message):
+                random_model_function(spec, count, seed=1)
 
 
 def test_derivative_profile_routes(spec_one):
@@ -801,13 +807,16 @@ def _pass_bits(funcs, order):
             for key, (mass, unc, _) in zip(keys, masses)}
 
 
-def test_spec_without_zeros_takes_one_panel_table(spec_pw, monkeypatch):
-    funcs = [random_model_function(spec_pw, 5, seed=s) for s in (7, 8)]
+@pytest.mark.parametrize("tau, c", [(0.0, 2.0), (0.7, 1.5)])
+def test_spec_without_zeros_takes_no_panel_table(tau, c, monkeypatch):
+    # a zero-free Theta is one exponential: each group of rows evaluates it
+    # afresh, with the bits of one norm at a time
+    spec = InnerFunctionSpec(tau=tau, c=c)
+    funcs = [random_model_function(spec, 5, seed=s) for s in (7, 8)]
     plain = _norm_bits(funcs, [0, 1])
     built = _tables(monkeypatch)
     assert _pass_bits(funcs, [1, 0]) == plain
-    (table,) = built
-    assert table.size > 1
+    assert built == []
 
 
 def test_panel_table_full_after_a_few_rows_keeps_bits(spec_two, monkeypatch):

@@ -56,6 +56,13 @@ def test_shannon_rejects_bad_input():
         shannon_reconstruct(np.ones(5), 0.0, 0.0)
 
 
+def test_uniform_nodes_obey_the_node_limit(monkeypatch):
+    # refused before numpy is asked for the nodes
+    monkeypatch.setattr(np, "arange", None)
+    with pytest.raises(ValueError, match="^2000000000001 nodes exceed the limit of 4194304$"):
+        reconstruct._uniform_nodes(2 * 10**12 + 1, 1.0)
+
+
 def test_shannon_vector_query():
     samples = uniform_samples(lambda x: sinc(x) ** 2, 201, 2.0)
     xs = np.linspace(-1.0, 1.0, 9)
