@@ -298,7 +298,6 @@ def test_solve_nodes_refuses_a_window_past_the_node_limit(spec_one, monkeypatch)
     monkeypatch.setattr(np, "arange", None)
     with pytest.raises(ValueError, match="^2000000000001 nodes exceed the limit of 4194304$"):
         solve_nodes(spec_one, 0.0, -10**12, 10**12)
-    assert clark._MAX_NODES == 2**22
 
 
 def test_solve_nodes_large_window(spec_one):
