@@ -144,6 +144,12 @@ def _residual_tolerance(targets) -> float:
     return max(RESIDUAL_TOL, _RESIDUAL_ULPS * float(np.spacing(top)))
 
 
+def _check_node_count(count: int) -> None:
+    """ValueError when a grid of count nodes exceeds _MAX_NODES."""
+    if count > _MAX_NODES:
+        raise ValueError(f"{count} nodes exceed the limit of {_MAX_NODES}")
+
+
 def solve_nodes(spec: InnerFunctionSpec, gamma: float, n_min: int, n_max: int) -> SamplingGrid:
     """Nodes x_n with phi(x_n) = gamma + 2 pi n for n in [n_min, n_max].
 
@@ -158,8 +164,7 @@ def solve_nodes(spec: InnerFunctionSpec, gamma: float, n_min: int, n_max: int) -
         raise TypeError("n_min and n_max must be integers")
     if n_min > n_max:
         raise ValueError(f"empty index range [{n_min}, {n_max}]")
-    if n_max - n_min >= _MAX_NODES:
-        raise ValueError(f"{n_max - n_min + 1} nodes exceed the limit of {_MAX_NODES}")
+    _check_node_count(n_max - n_min + 1)
     if not spec.c > 0.0:
         raise NoNodesError(
             "node solving requires c > 0; with c = 0 the phase is bounded and "

@@ -193,7 +193,7 @@ def _reconstruct_window(spec, method, window, params, f, xs):
         return reconstruct.clark_reconstruct(reconstruct.sample_function(f, grid), spec, xs)
     over_c = _num(params, "over_c", 1.0)
     m = _int(params, "m", 2)
-    grid = clark.solve_nodes(enlarge(spec, over_c, ()), gamma, -window, window)
+    grid = clark.solve_nodes(enlarge(spec, over_c), gamma, -window, window)
     return reconstruct.model_oversample_reconstruct(
         reconstruct.sample_function(f, grid), spec, over_c, m, xs)
 
@@ -218,6 +218,7 @@ def _cmd_reconstruct(config, out_dir):
     if method not in reconstruct._METHODS:
         raise ConfigError(f"params.method: expected one of {reconstruct._METHODS}, got {method!r}")
     window = _int(params, "window", 300, least=0)
+    clark._check_node_count(2 * window + 1)  # before the target is drawn and certified
     xs = _query_grid(params, -3.0, 3.0)
     f = _target(spec, method, params)
     truth = f(xs)
@@ -241,6 +242,7 @@ def _cmd_decay(config, out_dir):
     windows = _param(params, "windows", (25, 50, 100, 200, 400), _integer_list)
     if any(k < 1 for k in windows):
         raise ConfigError("params.windows: entries must be >= 1")
+    clark._check_node_count(2 * max(windows) + 1)
     uniform = any(m in ("shannon", "pw_oversample") for m in methods)
     xs = _query_grid(params, -1.0 if uniform else -3.0, 1.0 if uniform else 3.0)
     for method in methods:

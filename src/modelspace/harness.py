@@ -583,7 +583,8 @@ def _certified_masses(items) -> list:
             start = end
         return vals
 
-    jobs = ((k, _mass_panels(spec, _RADII[0])) for k in setups)
+    panels = _mass_panels(spec, _RADII[0])  # one layout for every job; _lockstep only reads it
+    jobs = ((k, panels) for k in setups)
     for k, res in quadrature._lockstep(jobs, rows, *_INTERIOR_TOL):
         if out[k] is not None:
             continue

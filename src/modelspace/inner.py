@@ -233,27 +233,18 @@ def derivative_sup_norm(spec: InnerFunctionSpec) -> float:
             if float(np.max(b - a)) < 1e-12:
                 break
         candidates.append(0.5 * (a + b))
-    _, der = phase_arrays(spec, np.concatenate(candidates))
-    return max(spec.c, float(der.max()))
+    return max(spec.c, float(phase_derivative(spec, np.concatenate(candidates)).max()))
 
 
-def enlarge(
-    spec: InnerFunctionSpec,
-    extra_c: float,
-    extra_zeros=(),
-) -> InnerFunctionSpec:
-    """Multiply by a further inner factor: add exponential rate and zeros.
+def enlarge(spec: InnerFunctionSpec, extra_c: float) -> InnerFunctionSpec:
+    """Multiply by the exponential factor e^{i extra_c z}: add exponential type.
 
     The result's phase derivative dominates the input's pointwise.
     """
     extra_c = float(extra_c)
     if not (math.isfinite(extra_c) and extra_c >= 0.0):
         raise ValueError(f"extra_c must be finite and >= 0, got {extra_c!r}")
-    return InnerFunctionSpec(
-        tau=spec.tau,
-        c=spec.c + extra_c,
-        zeros=spec.zeros + tuple(extra_zeros),
-    )
+    return InnerFunctionSpec(tau=spec.tau, c=spec.c + extra_c, zeros=spec.zeros)
 
 
 def to_dict(spec: InnerFunctionSpec) -> dict:

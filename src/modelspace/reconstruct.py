@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clark import _MAX_NODES, SamplingGrid
+from .clark import SamplingGrid, _check_node_count
 from .inner import InnerFunctionSpec, enlarge, evaluate, phase_difference, shaped_like
 from .kernel import SincKernelSpec, pw_oversample_kernel, sinc
 
@@ -78,8 +78,7 @@ def truncate_samples(samples: SampleSet, window: int) -> SampleSet:
 def _uniform_nodes(count: int, b: float) -> np.ndarray:
     if count % 2 != 1:
         raise ValueError(f"sample count must be odd (symmetric window), got {count}")
-    if count > _MAX_NODES:
-        raise ValueError(f"{count} nodes exceed the limit of {_MAX_NODES}")
+    _check_node_count(count)
     half = (count - 1) // 2
     return np.arange(-half, half + 1) * (math.pi / b)
 
@@ -245,7 +244,7 @@ def model_oversample_reconstruct(samples: SampleSet, base_spec: InnerFunctionSpe
         raise ValueError(f"over_c must be > 0, got {over_c}")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    big = enlarge(base_spec, over_c, ())
+    big = enlarge(base_spec, over_c)
     if samples.grid.spec != big:
         raise GridSpecMismatchError(
             "samples must be taken on the grid of the enlarged spec "

@@ -200,7 +200,7 @@ def dense_model_oversample(samples, base_spec, over_c, m, x):
     def damping(diff):
         return np.exp(-0.5j * over_c * diff) * sinc(over_c * diff / (2.0 * m)) ** m
 
-    return _dense_node_expansion(samples, enlarge(base_spec, over_c, ()), x, damping)
+    return _dense_node_expansion(samples, enlarge(base_spec, over_c), x, damping)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_a2_oversampling_decay(spec_one):
     truth = f(xg)
     base_grid = solve_nodes(spec_one, 0.0, -400, 400)
     base_samples = sample_function(f, base_grid)
-    big = enlarge(spec_one, 1.0, ())
+    big = enlarge(spec_one, 1.0)
     big_grid = solve_nodes(big, 0.0, -400, 400)
     big_samples = sample_function(f, big_grid)
     clark_errs = []
@@ -319,7 +319,7 @@ def test_a7_node_solver(all_specs):
     t0 = time.perf_counter()
     worst_resid = 0.0
     worst_spacing_slack = math.inf
-    specs = list(all_specs) + [enlarge(all_specs[2], 1.0, ())]
+    specs = list(all_specs) + [enlarge(all_specs[2], 1.0)]
     for spec in specs:
         dsup = derivative_sup_norm(spec)
         for gamma in (0.0, 1.0, math.pi):

@@ -187,10 +187,17 @@ def test_reconstruct_rejects_a_negative_window(tmp_path, capsys):
     ("nodes", {"n_min": -10**12, "n_max": 10**12}),
     ("reconstruct", {"method": "shannon", "window": 10**12}),
     ("decay", {"methods": ["pw_oversample"], "windows": [10**12]}),
+    ("reconstruct", {"method": "clark", "window": 10**12}),
+    ("decay", {"methods": ["model_oversample"], "windows": [25, 10**12]}),
 ])
 def test_node_window_past_the_limit_is_an_error(tmp_path, capsys, monkeypatch, command, params):
-    # refused before numpy is asked for the nodes
+    # refused before numpy is asked for the nodes, and before the kernel
+    # methods draw and certify their target
+    def no_target(*args):
+        raise AssertionError("target drawn before the node limit was checked")
+
     monkeypatch.setattr(np, "arange", None)
+    monkeypatch.setattr("modelspace.harness.random_model_function", no_target)
     cfg = {"command": command, "inner": {"c": 2.0}, "params": params}
     assert run_cli(tmp_path, cfg) == 1
     assert capsys.readouterr().err == "error: 2000000000001 nodes exceed the limit of 4194304\n"
@@ -382,6 +389,16 @@ def test_certify_bernstein_command(tmp_path):
     assert (tmp_path / "certify_bernstein_manifest.json").exists()
 
 
+def test_certify_bernstein_detects_violation(tmp_path, monkeypatch):
+    # a nonsense sup |Theta'| of 0.01 must flip the exit code to 2
+    monkeypatch.setattr("modelspace.harness.derivative_sup_norm", lambda spec: 0.01)
+    cfg = {"command": "certify-bernstein", "inner": ONE_ZERO,
+           "params": {"size": 2, "count": 4, "p": [2.0]}}
+    assert run_cli(tmp_path, cfg) == 2
+    _, _, rows = read_report(tmp_path / "certify_bernstein.csv")
+    assert float(rows[0][2]) < 0.0
+
+
 def test_certify_bernstein_refuses_a_degenerate_spec(tmp_path, capsys):
     # c = 0 and no zeros: Theta is constant and K_Theta = {0}, so no corpus
     # is drawn and no norm is certified; a c that counts as 0 is refused alike
@@ -424,6 +441,22 @@ def test_lemma_checks_with_window_budget(tmp_path):
     _, _, rows = read_report(tmp_path / "lemma_checks.csv")
     assert [r[0] for r in rows][-1] == "window_sup_budget"
     assert float(rows[-1][2]) > 0.0
+
+
+@pytest.mark.parametrize("module, name, fake, negative", [
+    ("modelspace.cli", "_xi_integrals", lambda pairs, power: [1e3] * len(pairs),
+     ["squared_product_bound", "fourth_power_bound"]),
+    ("modelspace.harness", "_window_sup_sum", lambda f, delta, p: 1e3, ["window_sup_budget"]),
+], ids=["kernel-products", "window-sup"])
+def test_lemma_checks_detect_violation(tmp_path, monkeypatch, module, name, fake, negative):
+    # integrals or window sums far above their bounds must flip the exit code to 2
+    monkeypatch.setattr(f"{module}.{name}", fake)
+    cfg = {"command": "lemma-checks", "inner": ONE_ZERO,
+           "params": {"pairs": 4, "m_pairs": 2, "size": 2, "count": 4,
+                      "deltas": [0.5], "p": [2.0]}}
+    assert run_cli(tmp_path, cfg) == 2
+    _, _, rows = read_report(tmp_path / "lemma_checks.csv")
+    assert [r[0] for r in rows if float(r[2]) < 0.0] == negative
 
 
 def test_lemma_checks_refuse_an_oversized_sampling(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Corpus generation, certified L^p norms and derivative identities."""
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -351,6 +352,18 @@ def test_last_radius_error_names_quadrature_and_tail(spec_one, monkeypatch):
     assert str(exc.value) == (
         "quadrature error 2.444e-17 exceeds the budget 1e-06 * mass 2.814e-14 at radius 2000")
     assert len(passes) == 1
+
+
+def test_tail_above_the_budget_at_every_radius_fails_at_the_last(spec_one, monkeypatch):
+    # the quadrature error stays inside the budget while a forced tail bound
+    # of 1 stays above it, so every radius is tried and the last one fails
+    f = random_model_function(spec_one, 5, 2)
+    monkeypatch.setattr(harness, "_tail_uncertainty", lambda *args: 1.0)
+    with pytest.raises(LpNormError) as exc:
+        lp_norm(f, 2.0)
+    assert re.fullmatch(r"uncertainty 1\.000e\+00 \(quadrature error \d\.\d{3}e-\d\d, "
+                        r"tail bound 1\.000e\+00\) still above 1e-06 \* mass \d\.\d{3}e[-+]\d\d "
+                        r"at radius 32000", str(exc.value))
 
 
 def test_huge_p_names_the_overflowing_interior_integrand(spec_one):

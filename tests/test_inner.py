@@ -356,15 +356,12 @@ def test_sup_norm_dominates_pointwise(spec, x):
 
 # ------------------------------------------------------------------- enlarge
 
-def test_enlarge_adds_rate_and_zeros():
+def test_enlarge_adds_rate():
     spec = InnerFunctionSpec(tau=0.2, c=2.0, zeros=(BlaschkeZero(0.0, 1.0),))
-    extra = (BlaschkeZero(1.0, 0.5),)
-    big = enlarge(spec, 1.0, extra)
-    assert big.c == 3.0
-    assert big.zeros == spec.zeros + extra
-    assert big.tau == spec.tau
-    # multiplicativity on the axis
-    factor = InnerFunctionSpec(tau=0.0, c=1.0, zeros=extra)
+    big = enlarge(spec, 1.0)
+    assert big == InnerFunctionSpec(tau=0.2, c=3.0, zeros=spec.zeros)
+    # multiplicativity on the axis: Theta times e^{i x}
+    factor = InnerFunctionSpec(tau=0.0, c=1.0, zeros=())
     x = 1.3
     assert evaluate(big, x) == pytest.approx(evaluate(spec, x) * evaluate(factor, x))
 
@@ -372,7 +369,7 @@ def test_enlarge_adds_rate_and_zeros():
 @given(spec=spec_strategy(), extra_c=rates, x=finite)
 @settings(max_examples=60)
 def test_enlarge_increases_phase_derivative(spec, extra_c, x):
-    big = enlarge(spec, extra_c, (BlaschkeZero(0.0, 1.0),))
+    big = enlarge(spec, extra_c)
     assert phase_arrays(big, x)[1] >= phase_arrays(spec, x)[1]
 
 

@@ -172,7 +172,7 @@ def test_clark_agrees_with_shifted_cardinal_series():
 
 def test_model_oversample_reconstructs(spec_one):
     f = random_model_function(spec_one, 5, seed=9)
-    big = enlarge(spec_one, 1.0, ())
+    big = enlarge(spec_one, 1.0)
     grid = solve_nodes(big, 0.0, -300, 300)
     samples = sample_function(f, grid)
     xs = np.linspace(-3.0, 3.0, 13)
@@ -182,7 +182,7 @@ def test_model_oversample_reconstructs(spec_one):
 
 def test_model_oversample_m1(spec_one):
     f = random_model_function(spec_one, 4, seed=13)
-    big = enlarge(spec_one, 0.5, ())
+    big = enlarge(spec_one, 0.5)
     grid = solve_nodes(big, 0.0, -300, 300)
     samples = sample_function(f, grid)
     x = 0.41
@@ -196,7 +196,7 @@ def test_model_oversample_grid_must_be_enlarged(spec_one):
     samples = sample_function(f, base_grid)
     with pytest.raises(GridSpecMismatchError):
         model_oversample_reconstruct(samples, spec_one, 1.0, 2, 0.0)
-    big_grid = solve_nodes(enlarge(spec_one, 1.0, ()), 0.0, -20, 20)
+    big_grid = solve_nodes(enlarge(spec_one, 1.0), 0.0, -20, 20)
     ok = sample_function(f, big_grid)
     with pytest.raises(GridSpecMismatchError):
         # over_c disagrees with the grid's enlargement
@@ -333,7 +333,7 @@ def test_kernel_routes_match_dense_sums(seed, chunk, monkeypatch):
     m = int(rng.integers(1, 4))
     _set_chunk(monkeypatch, chunk, 2 * window + 1)
     grid = solve_nodes(spec, gamma, -window, window)
-    big_grid = solve_nodes(enlarge(spec, over_c, ()), gamma, -window, window)
+    big_grid = solve_nodes(enlarge(spec, over_c), gamma, -window, window)
     cases = (
         (lambda s, x: clark_reconstruct(s, spec, x),
          lambda s, x: oracles.dense_clark(s, spec, x), grid),
@@ -393,7 +393,7 @@ def test_kernel_expansion_accurate_just_off_a_node(spec_two, route):
         grid = solve_nodes(spec_two, 1.3, -1000, 1000)
         rec = lambda x: clark_reconstruct(sample_function(f, grid), spec_two, x)
     else:
-        grid = solve_nodes(enlarge(spec_two, 1.0, ()), 1.3, -1000, 1000)
+        grid = solve_nodes(enlarge(spec_two, 1.0), 1.3, -1000, 1000)
         rec = lambda x: model_oversample_reconstruct(sample_function(f, grid), spec_two, 1.0, 2, x)
     nodes = grid.nodes[np.abs(grid.nodes) < 3.0]
     for delta in (1e-11, 1e-9, 1e-7, 1e-5):
@@ -404,7 +404,7 @@ def test_kernel_expansion_accurate_just_off_a_node(spec_two, route):
 def test_kernel_expansions_memory_bounded(spec_two):
     f = random_model_function(spec_two, 5, seed=2)
     grid = solve_nodes(spec_two, 0.5, -30000, 30000)
-    big_grid = solve_nodes(enlarge(spec_two, 1.0, ()), 0.5, -30000, 30000)
+    big_grid = solve_nodes(enlarge(spec_two, 1.0), 0.5, -30000, 30000)
     samples = sample_function(f, grid)
     big_samples = sample_function(f, big_grid)
     xs = np.linspace(-50.0, 50.0, 1001)
