@@ -7,7 +7,6 @@ the sampling grid used by the interpolation and certification modules.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,14 +22,14 @@ _RESIDUAL_ULPS = 4.0
 
 # Safeguarded Newton steps allowed per phase inversion before it gives up.
 _MAX_STEPS = 64
-# Targets or rows handled together by invert_phase and write_grid_csv; bounds
-# their workspace, which would otherwise grow with the node window.
+# Targets invert_phase solves together; bounds its workspace, which would
+# otherwise grow with the node window.
 _CHUNK = 8192
 # Most nodes one grid may hold; refused before any array is allocated.
 _MAX_NODES = 2**22
 
 __all__ = ["NoNodesError", "SamplingGrid", "invert_phase", "solve_nodes",
-           "node_spacing_bounds", "write_grid_csv"]
+           "node_spacing_bounds"]
 
 
 class NoNodesError(ValueError):
@@ -192,32 +191,3 @@ def node_spacing_bounds(grid: SamplingGrid):
     if lo < floor - 1e-12:
         raise RuntimeError(f"spacing {lo} violates floor {floor}")
     return lo, hi
-
-
-def write_grid_csv(grid: SamplingGrid, path, extra_header: dict | None = None) -> None:
-    """Write the grid as CSV with # key=value provenance headers.
-
-    Columns are n,x_n,weight ordered by n; all floats use 17 significant
-    digits so files round-trip exactly.  Rows are formatted and written
-    _CHUNK at a time, one %-format per chunk.
-    """
-    header = {
-        "gamma": format(grid.gamma, ".17g"),
-        "tau": format(grid.spec.tau, ".17g"),
-        "c": format(grid.spec.c, ".17g"),
-        "zeros": ";".join(
-            f"{z.re:.17g}+{z.im:.17g}j*{z.mult}" for z in grid.spec.zeros) or "none",
-        "residual_bound": format(grid.residual_bound, ".3e"),
-    }
-    if extra_header:
-        header.update({k: str(v) for k, v in extra_header.items()})
-    with nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"# {key}={val}\n" for key, val in header.items()) + "n,x_n,weight\n")
-        for start in range(0, len(grid), _CHUNK):
-            part = slice(start, start + _CHUNK)
-            indices = grid.indices[part].tolist()
-            flat = [None] * (3 * len(indices))
-            flat[0::3] = indices
-            flat[1::3] = grid.nodes[part].tolist()
-            flat[2::3] = grid.weights[part].tolist()
-            fh.write(("%d,%.17g,%.17g\n" * len(indices)) % tuple(flat))

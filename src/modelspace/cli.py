@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import clark, harness, reconstruct, sieve
-from .inner import _require_int, _require_number, enlarge, from_dict
+from .inner import TWO_PI, _require_int, _require_number, enlarge, from_dict
 from .kernel import SincKernelSpec, _xi_integrals, higher_power_bound, sinc
 # bound here as before the lockstep lemma checks; perfbench wraps this binding
 from .kernel import xi_power_product_integral, xi_product_integral  # noqa: F401
@@ -28,29 +28,34 @@ from .kernel import xi_power_product_integral, xi_product_integral  # noqa: F401
 VIOLATION_TOL = 1e-9
 # most query points of one report; more are refused before numpy allocates them
 _MAX_QUERIES = 2**20
+# the uniform-grid methods, which reconstruct a band-limited target
+_BAND_METHODS = ("shannon", "pw_oversample")
 
 
 class ConfigError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# rows a report formats with one %-format and writes at a time; bounds the text held
+_BLOCK = 8192
 
 
-def _now_line() -> str:
-    return f"# generated_at={datetime.now(timezone.utc).isoformat()}"
-
-
-def _write_report(path: str, headers: dict, columns, rows) -> None:
-    lines = [_now_line()]
-    for key, val in headers.items():
-        lines.append(f"# {key}={val}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(row))
+def _write_report(path: str, headers: dict, columns, formats, *data) -> None:
+    """Write a CSV report: the # generated_at= line, # key=value headers, the
+    column names, then row i of the data columns in the columns' %-formats (%d,
+    %.17g and %s: the text of str() and format(x, ".17g")), _BLOCK rows at a time."""
+    data = [np.asarray(col) for col in data]
+    row = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# generated_at={datetime.now(timezone.utc).isoformat()}\n"
+                 + "".join(f"# {key}={val}\n" for key, val in headers.items())
+                 + ",".join(columns) + "\n")
+        for start in range(0, len(data[0]), _BLOCK):
+            count = min(_BLOCK, len(data[0]) - start)
+            flat = [None] * (len(data) * count)
+            for i, col in enumerate(data):
+                flat[i::len(data)] = col[start:start + _BLOCK].tolist()
+            fh.write((row * count) % tuple(flat))
 
 
 def _write_manifest(path: str, manifest: dict) -> None:
@@ -99,8 +104,11 @@ def _integer_list(val, where: str) -> list:
     return _number_list(val, where, _require_int)
 
 
-def _num(params: dict, key: str, default=None):
-    return _param(params, key, default, _require_number)
+def _num(params: dict, key: str, default=None, ok=None, want=""):
+    val = _param(params, key, default, _require_number)
+    if ok and not ok(val):
+        raise ConfigError(f"params.{key}: expected {want}, got {val!r}")
+    return val
 
 
 def _int(params: dict, key: str, default=None, least=-math.inf):
@@ -147,10 +155,13 @@ def _cmd_nodes(config, out_dir):
     n_min = _int(params, "n_min")
     n_max = _int(params, "n_max")
     grid = clark.solve_nodes(spec, gamma, n_min, n_max)
-    path = _out_path(config, out_dir, "nodes.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_now_line() + "\n")
-        clark.write_grid_csv(grid, fh, extra_header={"command": "nodes"})
+    zeros = ";".join(f"{z.re:.17g}+{z.im:.17g}j*{z.mult}" for z in spec.zeros)
+    _write_report(_out_path(config, out_dir, "nodes.csv"),
+                  {"gamma": format(grid.gamma, ".17g"), "tau": format(spec.tau, ".17g"),
+                   "c": format(spec.c, ".17g"), "zeros": zeros or "none",
+                   "residual_bound": format(grid.residual_bound, ".3e"), "command": "nodes"},
+                  ("n", "x_n", "weight"), ("%d", "%.17g", "%.17g"),
+                  grid.indices, grid.nodes, grid.weights)
     return 0
 
 
@@ -161,7 +172,7 @@ def _band_target(spec, params):
     band = spec.c / 2.0
     if band <= 0.0:
         raise ConfigError("shannon/pw_oversample need c > 0")
-    shift = _num(params, "shift", 0.4)
+    shift = _num(params, "shift", 0.4, math.isfinite, "a finite number")
 
     def target(x):
         return np.asarray(sinc(band * (np.asarray(x, dtype=float) - shift)), dtype=complex)
@@ -169,11 +180,23 @@ def _band_target(spec, params):
     return target
 
 
+def _kernel_params(method, params):
+    """(gamma, over_c, m) of a kernel method, each checked; clark has no over_c or m."""
+    gamma = _num(params, "gamma", 0.0, lambda g: 0.0 <= g < TWO_PI, "a number in [0, 2 pi)")
+    if method == "clark":
+        return gamma, None, None
+    over_c = _num(params, "over_c", 1.0, lambda v: math.isfinite(v) and v > 0.0,
+                  "a finite number > 0")
+    return gamma, over_c, _int(params, "m", 2, least=1)
+
+
 def _target(spec, method, params):
     """The function a study reconstructs: the band target for the uniform-grid
-    methods, a seeded random model-space function for the kernel methods."""
-    if method in ("shannon", "pw_oversample"):
+    methods, a seeded random model-space function for the kernel methods,
+    whose params are checked before it is drawn and certified."""
+    if method in _BAND_METHODS:
         return _band_target(spec, params)
+    _kernel_params(method, params)
     return harness.random_model_function(spec, _int(params, "count", 5), _int(params, "seed", 1))
 
 
@@ -187,12 +210,10 @@ def _reconstruct_window(spec, method, window, params, f, xs):
         kspec = SincKernelSpec(power=_int(params, "N", 2), a=_num(params, "a", 0.5), c=spec.c / 2.0)
         nodes = reconstruct._uniform_nodes(2 * window + 1, kspec.b)
         return reconstruct.pw_oversample_reconstruct(f(nodes), kspec, xs)
-    gamma = _num(params, "gamma", 0.0)
+    gamma, over_c, m = _kernel_params(method, params)
     if method == "clark":
         grid = clark.solve_nodes(spec, gamma, -window, window)
         return reconstruct.clark_reconstruct(reconstruct.sample_function(f, grid), spec, xs)
-    over_c = _num(params, "over_c", 1.0)
-    m = _int(params, "m", 2)
     grid = clark.solve_nodes(enlarge(spec, over_c), gamma, -window, window)
     return reconstruct.model_oversample_reconstruct(
         reconstruct.sample_function(f, grid), spec, over_c, m, xs)
@@ -223,12 +244,13 @@ def _cmd_reconstruct(config, out_dir):
     f = _target(spec, method, params)
     truth = f(xs)
     rec = _reconstruct_window(spec, method, window, params, f, xs)
-    rows = [(_fmt(x), _fmt(t.real), _fmt(t.imag), _fmt(r.real), _fmt(r.imag),
-             _fmt(abs(r - t))) for x, t, r in zip(xs, truth, rec)]
+    # hypot of the parts gives abs() of each complex difference; np.abs can differ in the last bit
+    diff = rec - truth
     _write_report(_out_path(config, out_dir, f"reconstruct_{method}.csv"),
                   {"command": "reconstruct", "method": method, "window": window},
                   ("x", "truth_re", "truth_im", "recon_re", "recon_im", "abs_error"),
-                  rows)
+                  ("%.17g",) * 6, xs, truth.real, truth.imag, rec.real, rec.imag,
+                  np.hypot(diff.real, diff.imag))
     return 0
 
 
@@ -243,21 +265,26 @@ def _cmd_decay(config, out_dir):
     if any(k < 1 for k in windows):
         raise ConfigError("params.windows: entries must be >= 1")
     clark._check_node_count(2 * max(windows) + 1)
-    uniform = any(m in ("shannon", "pw_oversample") for m in methods)
+    uniform = any(m in _BAND_METHODS for m in methods)
     xs = _query_grid(params, -1.0 if uniform else -3.0, 1.0 if uniform else 3.0)
+    for method in methods:  # every param is checked before any target is drawn
+        if method in _BAND_METHODS:
+            _band_target(spec, params)
+        else:
+            _kernel_params(method, params)
     for method in methods:
         f = _target(spec, method, params)
         truth = f(xs)
-        rows = []
+        sups, l2s = [], []
         for window in windows:
             # f is sampled on each window's grid, not once on the widest grid
             # and sliced: its matrix products round by batch shape
             err = np.abs(_reconstruct_window(spec, method, window, params, f, xs) - truth)
-            rows.append((str(window), _fmt(err.max()),
-                         _fmt(float(np.sqrt(np.mean(err**2))))))
+            sups.append(err.max())
+            l2s.append(np.sqrt(np.mean(err**2)))
         _write_report(os.path.join(out_dir, f"decay_{method}.csv"),
                       {"command": "decay", "method": method},
-                      ("K", "sup_error", "l2_error"), rows)
+                      ("K", "sup_error", "l2_error"), ("%d", "%.17g", "%.17g"), windows, sups, l2s)
     return 0
 
 
@@ -271,11 +298,10 @@ def _cmd_density(config, out_dir):
     spec = _section(config, "inner", from_dict) if adapted else None
     reps = (sieve.d_mu_theta_many(measure, spec, deltas) if adapted
             else [sieve.d_mu(measure, delta) for delta in deltas])
-    rows = [(_fmt(rep.delta), _fmt(rep.value), _fmt(rep.witness[0]), _fmt(rep.witness[1]))
-            for rep in reps]
+    rows = [(rep.delta, rep.value, *rep.witness) for rep in reps]
     _write_report(_out_path(config, out_dir, "density.csv"),
                   {"command": "density", "adapted": str(adapted).lower()},
-                  ("delta", "value", "witness_left", "witness_right"), rows)
+                  ("delta", "value", "witness_left", "witness_right"), ("%.17g",) * 4, *zip(*rows))
     return 0
 
 
@@ -303,10 +329,10 @@ def _cmd_certify_sieve(config, out_dir):
             margin = bound - worst
             if margin < -VIOLATION_TOL * max(1.0, bound):
                 violations += 1
-            rows.append((_fmt(delta), _fmt(dens), _fmt(bound), _fmt(worst), _fmt(margin)))
+            rows.append((delta, dens, bound, worst, margin))
         _write_report(os.path.join(out_dir, f"certify_sieve_p{_p_label(p)}.csv"),
-                      {"command": "certify-sieve", "p": _fmt(p), "corpus_size": len(funcs)},
-                      ("delta", "D", "bound", "max_ratio", "margin"), rows)
+                      {"command": "certify-sieve", "p": f"{p:.17g}", "corpus_size": len(funcs)},
+                      ("delta", "D", "bound", "max_ratio", "margin"), ("%.17g",) * 5, *zip(*rows))
     _write_manifest(os.path.join(out_dir, "certify_sieve_manifest.json"),
                     {**harness.corpus_manifest(spec, seed, count, len(funcs)),
                      "measure": sieve.measure_to_dict(measure)})
@@ -328,10 +354,10 @@ def _cmd_certify_bernstein(config, out_dir):
             worst = max(worst, lhs / rhs)
         if worst > 1.0 + VIOLATION_TOL:
             violations += 1
-        rows.append((_fmt(p), _fmt(worst), _fmt(1.0 - worst)))
+        rows.append((p, worst, 1.0 - worst))
     _write_report(os.path.join(out_dir, "certify_bernstein.csv"),
                   {"command": "certify-bernstein", "corpus_size": len(funcs)},
-                  ("p", "max_ratio", "margin"), rows)
+                  ("p", "max_ratio", "margin"), ("%.17g",) * 3, *zip(*rows))
     _write_manifest(os.path.join(out_dir, "certify_bernstein_manifest.json"),
                     harness.corpus_manifest(spec, seed, count, len(funcs)))
     return 2 if violations else 0
@@ -363,7 +389,7 @@ def _cmd_lemma_checks(config, out_dir):
             worst = min(worst, bound(gap) - val)
         if worst < -VIOLATION_TOL:
             violations += 1
-        rows.append((name, str(cases), _fmt(worst)))
+        rows.append((name, cases, worst))
 
     if "inner" in config:
         spec = _section(config, "inner", from_dict)
@@ -373,11 +399,11 @@ def _cmd_lemma_checks(config, out_dir):
         worst = min(right - left for left, right in checks)
         if worst < -VIOLATION_TOL:
             violations += 1
-        rows.append(("window_sup_budget", str(len(funcs)), _fmt(worst)))
+        rows.append(("window_sup_budget", len(funcs), worst))
 
     _write_report(_out_path(config, out_dir, "lemma_checks.csv"),
                   {"command": "lemma-checks", "seed": seed},
-                  ("check", "cases", "min_margin"), rows)
+                  ("check", "cases", "min_margin"), ("%s", "%d", "%.17g"), *zip(*rows))
     return 2 if violations else 0
 
 

@@ -498,9 +498,10 @@ _RADII = (2000.0, 8000.0, 32000.0)
 _INTERIOR_TOL = (1e-13, 1e-10)
 
 
-def _certified_mass(values_fn, profile, spec, p):
-    """(mass, uncertainty, quadrature result, radius) at the first radius that certifies."""
-    for radius in _RADII:
+def _certified_mass(values_fn, profile, spec, p, radii=_RADII):
+    """(mass, uncertainty, quadrature result, radius) at the first of radii,
+    a tail of _RADII, that certifies."""
+    for radius in radii:
         mass, unc, res = _p_mass(values_fn, profile, spec, p, radius)
         if _certified_at(mass, unc, radius, res.error_bound):
             return mass, unc, res, radius
@@ -548,7 +549,8 @@ def _certified_masses(items) -> list:
     """(mass, uncertainty, radius) of _certified_mass for each (f, p,
     derivative) item, with its bits, or the exception it raises; the items
     share one spec.  All are integrated at the first radius in one lockstep
-    quadrature, and any that does not certify there goes to _certified_mass.
+    quadrature, and any that does not certify there goes on to the later
+    radii of _certified_mass.
     Theta and phi' come once per group of rows, from a panel table that
     lives for this pass if the spec has zeros (a zero-free Theta is one
     exponential, which a table would only cost memory to store); the kernel
@@ -593,7 +595,7 @@ def _certified_masses(items) -> list:
         try:
             mass, unc = _with_tail(res, profile, spec, p, radius)
             if not _certified_at(mass, unc, radius, res.error_bound):
-                mass, unc, _, radius = _certified_mass(values, profile, spec, p)
+                mass, unc, _, radius = _certified_mass(values, profile, spec, p, _RADII[1:])
             out[k] = (mass, unc, radius)
         except (ValueError, ArithmeticError) as exc:
             out[k] = exc

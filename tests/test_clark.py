@@ -1,5 +1,5 @@
-"""Phase-crossing node solving, grid certification and CSV export."""
-import io
+"""Phase-crossing node solving, grid certification and the node CSV report."""
+import json
 import math
 import random
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from modelspace import clark, quadrature
+from modelspace import clark, cli, quadrature
 from modelspace.clark import (
     RESIDUAL_TOL,
     NoNodesError,
@@ -17,10 +17,9 @@ from modelspace.clark import (
     invert_phase,
     node_spacing_bounds,
     solve_nodes,
-    write_grid_csv,
 )
 from modelspace.inner import (BlaschkeZero, InnerFunctionSpec, evaluate, phase_arrays,
-                              phase_derivative)
+                              phase_derivative, to_dict)
 from modelspace.kernel import kernel_norm_sq, reproducing_kernel
 
 TWO_PI = 2.0 * math.pi
@@ -331,19 +330,24 @@ def test_grid_validation():
                      nodes=np.array([]), weights=np.array([]))
 
 
-# ----------------------------------------------------------------- CSV export
+# ------------------------------------------------------- node CSV via the CLI
+
+def _nodes_report(tmp_path, spec, gamma, n_min, n_max):
+    """Lines of the nodes report for the grid solve_nodes(spec, gamma, n_min, n_max)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "nodes", "inner": to_dict(spec),
+                                "params": {"gamma": gamma, "n_min": n_min, "n_max": n_max}}),
+                    encoding="utf-8")
+    assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    return (tmp_path / "nodes.csv").read_text(encoding="utf-8").split("\n")
+
 
 def test_grid_csv_format(spec_two, tmp_path):
     grid = solve_nodes(spec_two, 1.0, -2, 2)
-    buf = io.StringIO()
-    write_grid_csv(grid, buf, extra_header={"run": "t1"})
-    text = buf.getvalue()
-    lines = text.strip().split("\n")
+    lines = _nodes_report(tmp_path, spec_two, 1.0, -2, 2)
     headers = [l for l in lines if l.startswith("# ")]
-    assert any(l.startswith("# gamma=1") for l in headers)
-    assert any(l.startswith("# run=t1") for l in headers)
-    assert "n,x_n,weight" in lines
-    body = lines[lines.index("n,x_n,weight") + 1:]
+    assert "# gamma=1" in headers and "# command=nodes" in headers
+    body = lines[lines.index("n,x_n,weight") + 1:-1]
     assert len(body) == 5
     # 17 significant digits round-trip exactly
     for row, n, x, w in zip(body, grid.indices, grid.nodes, grid.weights):
@@ -351,28 +355,23 @@ def test_grid_csv_format(spec_two, tmp_path):
         assert int(sn) == n
         assert float(sx) == x
         assert float(sw) == w
-    # file path target writes identical bytes
-    target = tmp_path / "grid.csv"
-    write_grid_csv(grid, target, extra_header={"run": "t1"})
-    assert target.read_text(encoding="utf-8") == text
 
 
-@pytest.mark.parametrize("chunk", [5, 8192])
-def test_grid_csv_rows_match_per_row_format(spec_two, chunk, monkeypatch):
-    monkeypatch.setattr(clark, "_CHUNK", chunk)
+@pytest.mark.parametrize("block", [5, 8192])
+def test_grid_csv_rows_match_per_row_format(spec_two, block, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_BLOCK", block)
     grid = solve_nodes(spec_two, 2.5, -40, 7)
-    buf = io.StringIO()
-    write_grid_csv(grid, buf)
-    lines = buf.getvalue().split("\n")
+    lines = _nodes_report(tmp_path, spec_two, 2.5, -40, 7)
     body = lines[lines.index("n,x_n,weight") + 1:-1]
     want = [f"{int(n)},{x:.17g},{w:.17g}"
             for n, x, w in zip(grid.indices, grid.nodes, grid.weights)]
     assert body == want and body[0].startswith("-40,")
 
 
-def test_grid_csv_deterministic(spec_one):
-    grid = solve_nodes(spec_one, 0.25, -3, 3)
-    a, b = io.StringIO(), io.StringIO()
-    write_grid_csv(grid, a)
-    write_grid_csv(grid, b)
-    assert a.getvalue() == b.getvalue()
+def test_grid_csv_deterministic(spec_one, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    runs = [[l for l in _nodes_report(out, spec_one, 0.25, -3, 3)
+             if not l.startswith("# generated_at=")] for out in (a, b)]
+    assert runs[0] == runs[1]

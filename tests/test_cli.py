@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from modelspace import cli, reconstruct
 from modelspace.cli import main
 
 
@@ -213,6 +215,32 @@ def test_query_grid_past_the_limit_is_a_config_error(tmp_path, capsys, monkeypat
     assert run_cli(tmp_path, cfg) == 1
     assert capsys.readouterr().err == \
         "config error: params.x_count: 1000000000000 queries exceed the limit of 1048576\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, params, key", [
+    ("reconstruct", {"method": "clark", "gamma": 7.0}, "gamma"),
+    ("reconstruct", {"method": "model_oversample", "gamma": math.nan}, "gamma"),
+    ("reconstruct", {"method": "model_oversample", "over_c": -1.0}, "over_c"),
+    ("reconstruct", {"method": "model_oversample", "over_c": 0}, "over_c"),
+    ("decay", {"methods": ["model_oversample"], "over_c": math.inf}, "over_c"),
+    ("reconstruct", {"method": "model_oversample", "m": 0}, "m"),
+    ("reconstruct", {"method": "shannon", "shift": math.nan}, "shift"),
+    ("decay", {"methods": ["pw_oversample"], "shift": math.inf}, "shift"),
+    ("decay", {"methods": ["shannon", "clark"], "gamma": -0.5}, "gamma"),
+])
+def test_bad_method_param_is_refused_before_any_target(tmp_path, capsys, monkeypatch,
+                                                       command, params, key):
+    # every method param is checked before a target is drawn and certified,
+    # and before any report is written (a non-finite shift gives NaN rows)
+    def no_target(*args):
+        raise AssertionError("target drawn before the method params were checked")
+
+    monkeypatch.setattr("modelspace.harness.random_model_function", no_target)
+    cfg = {"command": command, "inner": {"c": 2.0},
+           "params": {"window": 5, "windows": [5], "x_count": 5, **params}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err.startswith(f"config error: params.{key}: expected ")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -576,7 +604,7 @@ ATOMS_AND_PIECES = {"atoms": [{"x": 0.3, "mass": 1.0}, {"x": 2.5, "mass": 0.5}],
                     "pieces": [{"l": -1.0, "r": 0.0, "h": 0.8}, {"l": 1.0, "r": 1.75, "h": 1.2}]}
 # sha256 of reports, generated_at line removed, for runs the README
 # examples miss: a kernel-method decay over three windows, a node CSV long
-# enough to span several write chunks (clark._CHUNK = 8192 rows), a
+# enough to span several write blocks (cli._BLOCK = 8192 rows), a
 # phase-adapted density over unsorted deltas with a duplicate, lemma
 # checks with a corpus, whose window_sup_budget row no README example has,
 # and a sieve certificate whose measure has atoms as well as pieces
@@ -626,3 +654,54 @@ def test_pinned_report_digests(tmp_path, name):
         strip_timestamps(report.read_text(encoding="utf-8")).encode()).hexdigest()
         for report in tmp_path.iterdir() if report.name != "cfg.json"}
     assert got == want
+
+
+# ------------------------------------------------------------- report writer
+
+def test_reconstruct_report_memory_is_one_block(tmp_path):
+    # rows are formatted and written one block at a time, so the text held
+    # does not grow with the queries; the reconstruction's own workspace is
+    # its chunk budget, and its columns take 64 bytes per query
+    queries = 2**17
+    cfg = {"command": "reconstruct", "inner": {"c": 2.0},
+           "params": {"method": "shannon", "window": 10, "x_count": queries}}
+    tracemalloc.start()
+    try:
+        assert run_cli(tmp_path, cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= reconstruct._CHUNK_BYTES + 64 * queries
+    assert len((tmp_path / "reconstruct_shannon.csv").read_text().split("\n")) == queries + 6
+
+
+COMMAND_RUNS = [
+    {"command": "nodes", "inner": {"c": 2.0}, "params": {"n_min": -2, "n_max": 2}},
+    {"command": "reconstruct", "inner": {"c": 2.0},
+     "params": {"method": "shannon", "window": 5, "x_count": 5}},
+    {"command": "decay", "inner": {"c": 2.0}, "params": {"windows": [5], "x_count": 5}},
+    {"command": "density", "measure": ATOM, "params": {"deltas": [1.0]}},
+    {"command": "certify-sieve", "inner": ONE_ZERO, "measure": ATOM,
+     "params": {"size": 1, "p": [2.0], "deltas": [1.0]}},
+    {"command": "certify-bernstein", "inner": ONE_ZERO, "params": {"size": 1, "p": [2.0]}},
+    {"command": "lemma-checks", "params": {"pairs": 2, "m_pairs": 2}},
+]
+
+
+def test_every_csv_report_goes_through_one_writer(tmp_path, monkeypatch):
+    real = cli._write_report
+    written = []
+
+    def recorded(path, *args):
+        written.append(os.path.basename(path))
+        return real(path, *args)
+
+    monkeypatch.setattr(cli, "_write_report", recorded)
+    assert sorted(config["command"] for config in COMMAND_RUNS) == sorted(cli.COMMANDS)
+    for config in COMMAND_RUNS:
+        out = tmp_path / config["command"]
+        out.mkdir()
+        written.clear()
+        assert run_cli(out, config) == 0
+        csvs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+        assert csvs and sorted(written) == csvs, config["command"]

@@ -70,20 +70,27 @@ def test_lockstep_escalates_like_one_at_a_time(spec_one, monkeypatch):
     assert {o[2] for o in want} == {2000.0, 8000.0, 32000.0}
     monkeypatch.setattr(quadrature, "_MAX_OPEN", 3)
     # the lockstep pass integrates only the first radius; an item that does
-    # not certify there climbs the radius ladder of _certified_mass alone
-    real = harness._certified_mass
-    calls = []
+    # not certify there climbs the later radii of _certified_mass alone
+    real, real_p_mass = harness._certified_mass, harness._p_mass
+    calls, radii = [], []
 
-    def counted(values, profile, spec, p):
+    def counted(values, profile, spec, p, *rest):
         calls.append((p, profile))
-        return real(values, profile, spec, p)
+        return real(values, profile, spec, p, *rest)
+
+    def p_mass(values, profile, spec, p, radius):
+        radii.append(radius)
+        return real_p_mass(values, profile, spec, p, radius)
 
     monkeypatch.setattr(harness, "_certified_mass", counted)
+    monkeypatch.setattr(harness, "_p_mass", p_mass)
     assert _bits(_certified_masses(items)) == _bits(want)
     # (p, tail profile) names each item: the functions differ, and so do f and f'
     escalated = [_mass_integrand(*item)[:2] for item, o in zip(items, want) if o[2] > 2000.0]
     assert len(set(escalated)) == len(escalated)
     assert Counter(calls) == Counter(escalated)
+    # no escalated item integrates its R = 2000 interior a second time
+    assert radii and 2000.0 not in radii
     # here p = 2 fails at the last radius, and so does p = 1 for some items
     monkeypatch.setattr(harness, "NORM_REL_TOL", 5e-11)
     want = _alone(items)
