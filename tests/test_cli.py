@@ -607,7 +607,9 @@ ATOMS_AND_PIECES = {"atoms": [{"x": 0.3, "mass": 1.0}, {"x": 2.5, "mass": 0.5}],
 # enough to span several write blocks (cli._BLOCK = 8192 rows), a
 # phase-adapted density over unsorted deltas with a duplicate, lemma
 # checks with a corpus, whose window_sup_budget row no README example has,
-# and a sieve certificate whose measure has atoms as well as pieces
+# a sieve certificate whose measure has atoms as well as pieces, and a
+# shannon reconstruction whose imaginary columns are all zero and whose
+# errors run from an exact 0 through exponents below 1e-4
 PINNED_RUNS = {
     "certify_bernstein_pw": (
         {"command": "certify-bernstein", "inner": {"c": 2.0},
@@ -639,6 +641,11 @@ PINNED_RUNS = {
         {"command": "nodes", "inner": TWO_ZEROS,
          "params": {"gamma": 1.3, "n_min": -9000, "n_max": 9000}},
         {"nodes.csv": "c8fbf147966a3718a01b3972dba5ff7ab7eb7142a7996a9174e30a92d63b32b9"}),
+    "reconstruct_shannon_zeros": (
+        {"command": "reconstruct", "inner": {"c": 2.0},
+         "params": {"method": "shannon", "window": 40, "x_count": 3001}},
+        {"reconstruct_shannon.csv":
+             "74454660689926150f210cdc0e6b21bd947b7c39dbf918207dcd61d0db84b8f1"}),
     "lemma_checks_inner": (
         {"command": "lemma-checks", "inner": TWO_ZEROS,
          "params": {"size": 3, "deltas": [0.25, 1.0], "p": [1.0, 2.0]}},
