@@ -6,6 +6,14 @@ certified-inequality violation.  Reports are byte-deterministic, apart from
 the single # generated_at= header line, for a fixed config, numpy/BLAS
 build and BLAS thread count: the reconstructions' matrix products round by
 how BLAS splits them over threads.
+
+Every CSV cell holds exactly the bytes of Python's % with its column's
+format.  %.17g cells of float64 columns with 1e-308 <= |x| < 1e17 or x = 0,
+and %d cells of integer columns, take their digits from an exact integer
+kernel: the 17 significant digits are |x| * 10^(16 - e) rounded half to
+even, from the exact product of the mantissa and 5^(16 - e).  Every other
+cell (nan, inf, subnormal, |x| >= 1e17, %s and other formats or dtypes) is
+formatted by Python itself.
 """
 from __future__ import annotations
 
@@ -36,26 +44,274 @@ class ConfigError(Exception):
     pass
 
 
-# rows a report formats with one %-format and writes at a time; bounds the text held
-_BLOCK = 8192
+# rows a report lays out in one byte grid and writes at a time; bounds the workspace
+_BLOCK = 4096
+# a byte no UTF-8 text holds: marks the bytes of a cell slot that are not written
+_GAP = 255
+_M32 = 0xFFFFFFFF
+# %.17g cells 10^-308 <= |x| < 10^17 scale by 10^(16 - e), 0 <= 16 - e <= _QMAX
+_QMAX = 324
+_EMIN = 16 - _QMAX
+
+
+# 5^q for q = 0.._QMAX in 32-bit limbs, least significant first, the number
+# of limbs each needs, and 5^0..5^27 (each below 2^63) as one uint64
+_POW5 = np.frombuffer(b"".join((5**q).to_bytes(96, "little") for q in range(_QMAX + 1)),
+                      "<u4").reshape(_QMAX + 1, 24).astype(np.uint64)
+_POW5_SIZE = np.array([-(-(5**q).bit_length() // 32) for q in range(_QMAX + 1)])
+_POW5_64 = 5 ** np.arange(28, dtype=np.uint64)
+
+
+def _g17_layout():
+    """Slot bytes of a %.17g cell keyed by (e - _EMIN) * 17 + nd - 1 for decimal
+    exponent e and nd significant digits.  A slot is the sign, "0.000", digit
+    i at 6 + 2i with a point after it at 7 + 2i, "e-" and three exponent
+    digits, and four bytes of padding.  Shown digit bytes are 0, to be or-ed
+    with the digit; every byte the cell does not show is _GAP."""
+    e = np.repeat(np.arange(_EMIN, 17), 17)
+    nd = np.tile(np.arange(1, 18), 17 - _EMIN)
+    slot = np.full((len(e), 48), _GAP, np.uint8)
+    small = (e >= -4) & (e < 0)
+    slot[small, 1:3] = np.frombuffer(b"0.", np.uint8)
+    for j in range(3):
+        slot[small & (-e - 1 > j), 3 + j] = ord("0")
+    last = np.where(e >= 0, np.maximum(e, nd - 1), nd - 1)
+    slot[:, 6:39:2] = np.where(np.arange(17) > last[:, None], _GAP, 0)
+    sci = e < -4
+    points = np.where(sci, 0, e)
+    rows = np.flatnonzero((e >= 0) & (nd - 1 > e) | sci & (nd > 1))
+    slot[rows, 7 + 2 * points[rows]] = ord(".")
+    slot[sci, 39:41] = np.frombuffer(b"e-", np.uint8)
+    big = sci & (e <= -100)
+    slot[big, 41] = ord("0") + -e[big] // 100
+    slot[sci, 42] = ord("0") + -e[sci] // 10 % 10
+    slot[sci, 43] = ord("0") + -e[sci] % 10
+    return slot
+
+
+# the 48-byte slots, one item per key; and the narrow 32-byte slots for
+# blocks with no |x| >= 10, which have no point after digits 1..15, so
+# digits 1..16 fill bytes 8..23
+_G17_SLOT = _g17_layout()
+_G17_NARROW = np.full((len(_G17_SLOT), 32), _GAP, np.uint8)
+_G17_NARROW[:, :29] = _G17_SLOT[:, np.r_[0:8, 8:39:2, 39:44]]
+_G17_SLOT, _G17_NARROW = _G17_SLOT.view("V48").ravel(), _G17_NARROW.view("V32").ravel()
+# 10^1 .. 10^19: an integer of magnitude u has 1 + searchsorted(u) digits
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# "0000" .. "9999" as four ASCII digits in one uint32, and in one uint64 with
+# a zero byte after each digit (digits 1..16 of a 48-byte slot); and how many
+# of the four digits are trailing zeros
+_DIGITS4 = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+            + ord("0")).astype(np.uint8)
+_SPREAD4 = np.zeros((10000, 8), np.uint8)
+_SPREAD4[:, ::2] = _DIGITS4
+_DIGITS4, _SPREAD4 = _DIGITS4.view(np.uint32).ravel(), _SPREAD4.view(np.uint64).ravel()
+_TRAILING4 = sum(np.arange(10000) % 10**k == 0 for k in range(1, 5))
+
+
+def _groups(u, count):
+    """The count low four-digit groups of uint64 u, most significant first."""
+    groups = []
+    for _ in range(count):
+        quot = u // 10000
+        groups.append((u - quot * 10000).astype(np.intp))
+        u = quot
+    return groups[::-1]
+
+
+def _scaled128(m, t, q):
+    """floor(m * 5^q * 2^t) and whether round-half-even rounds it up, for uint64
+    m < 2^53, -64 <= t <= 5 and 0 <= q <= 27: 5^q < 2^63, so the product is
+    exact in two uint64 words."""
+    m = m << np.maximum(t, 0).astype(np.uint64)
+    shift = np.minimum(np.maximum(-t, 0), 64).astype(np.uint64)
+    pow5 = _POW5_64[q]
+    m0, m1, p0, p1 = m & _M32, m >> 32, pow5 & _M32, pow5 >> 32
+    low = m0 * p0
+    mid = m0 * p1 + m1 * p0
+    lo = low + (mid << 32)
+    hi = m1 * p1 + (mid >> 32) + (lo < low)
+    floor = (hi << (64 - shift)) | (lo >> shift)
+    half = np.maximum(shift, 1) - 1
+    tie_or_more = (lo >> half) & 1 == 1
+    above = (lo & ((np.uint64(1) << half) - 1) != 0) | (floor & 1 == 1)
+    return floor, (shift > 0) & tie_or_more & above
+
+
+def _scaled(m, k, q):
+    """floor(m * 2^k * 10^q) and whether round-half-even rounds it up, for
+    uint64 m < 2^53, k and 0 <= q <= _QMAX with a floor below 2^60: exact, from
+    the product m * 5^q in 32-bit limbs shifted by k + q bits."""
+    n = len(m)
+    t = k + q
+    m = m << np.maximum(t, 0).astype(np.uint64)
+    shift = np.maximum(-t, 0).astype(np.uint64)
+    size = _POW5_SIZE[q.max()]
+    pow5 = _POW5[q, :size].T
+    low, high = (m & _M32) * pow5, (m >> 32) * pow5
+    # limbs of the product, two spare at the top for the shifted read below
+    acc = np.zeros((size + 4, n), np.uint64)
+    acc[:size] = low & _M32
+    acc[1:size + 1] += (low >> 32) + (high & _M32)
+    acc[2:size + 2] += high >> 32
+    for i in range(size + 1):
+        acc[i + 1] += acc[i] >> 32
+        acc[i] &= _M32
+    cols = np.arange(n)
+    word = (shift >> 5).astype(np.intp)
+    bit = shift & 31
+    floor = (acc[word, cols] >> bit) + ((acc[word + 1, cols] + (acc[word + 2, cols] << 32))
+                                        << (32 - bit))
+    # bit shift - 1 is the half; any bit below it, or an odd floor on a tie, rounds up
+    half = np.maximum(shift, 1) - 1
+    word = (half >> 5).astype(np.intp)
+    bit = half & 31
+    limb = acc[word, cols]
+    below = (limb & ((np.uint64(1) << bit) - 1)) != 0
+    below |= (word > 0) & np.logical_or.accumulate(acc != 0)[np.maximum(word - 1, 0), cols]
+    return floor, (shift > 0) & ((limb >> bit) & 1 == 1) & (below | (floor & 1 == 1))
+
+
+def _g17_digits(x):
+    """(D, e, ok) of a float64 array under %.17g: D the 17 significant digits
+    of |x| as an integer and e its decimal exponent (0 and 0 for a zero); ok
+    is False where the cell is left to Python."""
+    bits = x.view(np.uint64)
+    biased = ((bits >> 52) & 0x7FF).astype(np.int64)
+    mant = (bits & ((1 << 52) - 1)) | (1 << 52)
+    zero = bits << 1 == 0
+    normal = (biased > 0) & (biased < 0x7FF)
+    e = np.floor(np.log10(np.abs(np.where(normal, x, 1.0)))).astype(np.int64)
+    # most cells: 0 <= 16 - e <= 27 and a shift of at most 64 bits
+    q = np.minimum(np.maximum(16 - e, 0), 27)
+    t = biased - 1075 + q
+    digits, up = _scaled128(mant, t, q)
+    ok = normal & (q == 16 - e) & (t >= -64) & (digits >= 10**16) & (digits < 10**17)
+    todo = np.flatnonzero(normal & ~ok)
+    digits += up
+    ok |= zero
+    digits[zero] = 0
+    # the rest, and any e that log10 put one off near a power of ten, by the
+    # limb product; the floor shows which way e was off
+    for _ in range(3):
+        q = 16 - e[todo]
+        inside = (q >= 0) & (q <= _QMAX)
+        todo, q = todo[inside], q[inside]
+        if not len(todo):
+            break
+        floor, up = _scaled(mant[todo], biased[todo] - 1075, q)
+        low, high = floor < 10**16, floor >= 10**17
+        digits[todo] = floor + up
+        e[todo[high]] += 1
+        e[todo[low]] -= 1
+        fine = ~(low | high)
+        ok[todo[fine]] = True
+        todo = todo[~fine]
+    # a floor of 10^17 - 1 that rounds up is 10^16 at the next exponent
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e[carry] += 1
+    return digits, e, ok
+
+
+def _fill_g17(slot, x):
+    """Lay out the %.17g cells of float64 x in the (n, 48) slot, or the (n, 32)
+    narrow slot; returns the rows left to Python."""
+    digits, e, ok = _g17_digits(x)
+    # digit 0, then digits 1..16 in four groups
+    groups = _groups(digits, 5)
+    # trailing zeros: those of the last group, then of each group before it
+    # in the rows where every group after it is zero
+    trailing = _TRAILING4[groups[4]]
+    for i in range(3, -1, -1):
+        rows = np.flatnonzero(trailing == 4 * (4 - i))
+        if not len(rows):
+            break
+        trailing[rows] += _TRAILING4[groups[i][rows]]
+    key = np.where(ok, (e - _EMIN) * 17 + np.maximum(16 - trailing, 0), 0)
+    if slot.shape[1] == 48:
+        cells = _G17_SLOT[key].view(np.uint8).reshape(-1, 48)
+        words, table, first = cells.view(np.uint64), _SPREAD4, 1
+    else:
+        cells = _G17_NARROW[key].view(np.uint8).reshape(-1, 32)
+        words, table, first = cells.view(np.uint32), _DIGITS4, 2
+    for i in range(1, 5):
+        words[:, first + i - 1] |= table[groups[i]]
+    cells[:, 6] |= (ord("0") + groups[0]).astype(np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), ord("-"), _GAP)
+    slot[:] = cells
+    return np.flatnonzero(~ok)
+
+
+def _fill_int(slot, v):
+    """Lay out the %d cells of int64 v in the (n, width) slot, the sign and
+    then the digits; returns no rows, as none is left to Python."""
+    mag = v.astype(np.uint64)
+    mag = np.where(v < 0, 0 - mag, mag)
+    nd = 1 + np.searchsorted(_POW10, mag, side="right")
+    width = slot.shape[1] - 1
+    groups = _groups(mag, -(-width // 4))
+    text = np.stack([_DIGITS4[group] for group in groups], axis=1).view(np.uint8)[:, -width:]
+    slot[:, 1:] = np.where(np.arange(width) < width - nd[:, None], _GAP, text)
+    slot[:, 0] = np.where(v < 0, ord("-"), _GAP)
+    return ()
+
+
+def _texts(fmt, values):
+    """fmt % value, as Python formats it, for each value, in UTF-8."""
+    return [(fmt % (v,)).encode("utf-8") for v in values]
+
+
+def _put_text(slot, rows, texts):
+    """Write the texts into the given rows of slot, _GAP after each."""
+    cells = np.full((len(rows), slot.shape[1]), _GAP, np.uint8)
+    sizes = np.array([len(text) for text in texts], dtype=np.intp)
+    cells[np.arange(slot.shape[1]) < sizes[:, None]] = np.frombuffer(b"".join(texts), np.uint8)
+    slot[rows] = cells
+
+
+def _layout(formats, cols) -> bytes:
+    """The CSV text of one block of rows: each cell in its column's slot of one
+    byte grid, then every _GAP byte dropped."""
+    n = len(cols[0])
+    plan = []  # (kernel fill and its column, or None and Python's texts; slot width)
+    for fmt, col in zip(formats, cols):
+        if fmt == "%.17g" and col.dtype == np.float64:
+            # below 10 no cell has a point after its second digit
+            plan.append((_fill_g17, col, 32 if np.abs(col).max() < 10.0 else 48))
+        elif fmt == "%d" and np.can_cast(col.dtype, np.int64) and col.dtype != bool:
+            col = col.astype(np.int64)
+            plan.append((_fill_int, col, 1 + len(str(max(int(col.max()), -int(col.min()))))))
+        else:
+            texts = _texts(fmt, col.tolist())
+            plan.append((None, texts, max(map(len, texts))))
+    ends = np.cumsum([width + 1 for _, _, width in plan])
+    text = bytearray(n * int(ends[-1]))
+    grid = np.frombuffer(text, np.uint8).reshape(n, ends[-1])
+    grid[:, ends[:-1] - 1] = ord(",")
+    grid[:, -1] = ord("\n")
+    for fmt, (fill, cells, width), end in zip(formats, plan, ends):
+        slot = grid[:, end - 1 - width:end - 1]
+        if fill is None:
+            _put_text(slot, np.arange(n), cells)
+            continue
+        rest = fill(slot, cells)
+        if len(rest):
+            _put_text(slot, rest, _texts(fmt, cells[rest].tolist()))
+    return text.translate(None, bytes([_GAP]))
 
 
 def _write_report(path: str, headers: dict, columns, formats, *data) -> None:
     """Write a CSV report: the # generated_at= line, # key=value headers, the
-    column names, then row i of the data columns in the columns' %-formats (%d,
-    %.17g and %s: the text of str() and format(x, ".17g")), _BLOCK rows at a time."""
+    column names, then row i of the data columns in the columns' %-formats
+    (the bytes of fmt % cell, see the module docstring), _BLOCK rows at a time."""
     data = [np.asarray(col) for col in data]
-    row = ",".join(formats) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# generated_at={datetime.now(timezone.utc).isoformat()}\n"
-                 + "".join(f"# {key}={val}\n" for key, val in headers.items())
-                 + ",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((f"# generated_at={datetime.now(timezone.utc).isoformat()}\n"
+                  + "".join(f"# {key}={val}\n" for key, val in headers.items())
+                  + ",".join(columns) + "\n").encode("utf-8"))
         for start in range(0, len(data[0]), _BLOCK):
-            count = min(_BLOCK, len(data[0]) - start)
-            flat = [None] * (len(data) * count)
-            for i, col in enumerate(data):
-                flat[i::len(data)] = col[start:start + _BLOCK].tolist()
-            fh.write((row * count) % tuple(flat))
+            fh.write(_layout(formats, [col[start:start + _BLOCK] for col in data]))
 
 
 def _write_manifest(path: str, manifest: dict) -> None:
@@ -104,6 +360,31 @@ def _integer_list(val, where: str) -> list:
     return _number_list(val, where, _require_int)
 
 
+def _positive(val, where: str) -> float:
+    val = _require_number(val, where)
+    if not 0.0 < val < math.inf:
+        raise ValueError(f"{where}: expected a finite number > 0, got {val!r}")
+    return val
+
+
+def _power(val, where: str) -> float:
+    val = _require_number(val, where)
+    if not 1.0 <= val < math.inf:
+        raise ValueError(f"{where}: expected a finite number >= 1, got {val!r}")
+    return val
+
+
+def _window_delta(val, where: str) -> float:
+    """A delta of the window-sup checks: finite, > 0, and with a sample grid,
+    which depends on delta alone, within its limits."""
+    val = _positive(val, where)
+    try:
+        harness._window_count(val)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return val
+
+
 def _num(params: dict, key: str, default=None, ok=None, want=""):
     val = _param(params, key, default, _require_number)
     if ok and not ok(val):
@@ -118,8 +399,8 @@ def _int(params: dict, key: str, default=None, least=-math.inf):
     return val
 
 
-def _num_list(params: dict, key: str, default=None):
-    return _param(params, key, default, _number_list)
+def _num_list(params: dict, key: str, default=None, each=_require_number):
+    return _param(params, key, default, lambda val, where: _number_list(val, where, each))
 
 
 def _section(config: dict, key: str, parse):
@@ -261,6 +542,9 @@ def _cmd_decay(config, out_dir):
     if not isinstance(methods, list) or not methods \
             or any(m not in reconstruct._METHODS for m in methods):
         raise ConfigError(f"params.methods: expected a nonempty list from {reconstruct._METHODS}")
+    if len(set(methods)) < len(methods):
+        # each method writes decay_<method>.csv; a repeat would redo and overwrite it
+        raise ConfigError(f"params.methods: expected each method once, got {methods!r}")
     windows = _param(params, "windows", (25, 50, 100, 200, 400), _integer_list)
     if any(k < 1 for k in windows):
         raise ConfigError("params.windows: entries must be >= 1")
@@ -313,8 +597,9 @@ def _cmd_certify_sieve(config, out_dir):
     spec = _section(config, "inner", from_dict)
     measure = _section(config, "measure", sieve.measure_from_dict)
     params = _as_params(config)
-    deltas = _num_list(params, "deltas", (0.1, 0.5, 1.0, 2.0))
-    p_list = _num_list(params, "p", (1.0, 2.0))
+    # checked before the corpus is drawn and certified
+    deltas = _num_list(params, "deltas", (0.1, 0.5, 1.0, 2.0), _positive)
+    p_list = _num_list(params, "p", (1.0, 2.0), _power)
     funcs, seed, count = _corpus(spec, params)
     norms = harness._corpus_norms([(f, p, False) for p in p_list for f in funcs])
     # the ratios do not depend on delta
@@ -342,7 +627,7 @@ def _cmd_certify_sieve(config, out_dir):
 def _cmd_certify_bernstein(config, out_dir):
     spec = _section(config, "inner", from_dict)
     params = _as_params(config)
-    p_list = _num_list(params, "p", (1.0, 2.0, 4.0))
+    p_list = _num_list(params, "p", (1.0, 2.0, 4.0), _power)
     rows = []
     violations = 0
     funcs, seed, count = _corpus(spec, params)
@@ -368,6 +653,11 @@ def _cmd_lemma_checks(config, out_dir):
     seed = _int(params, "seed", 1)
     pairs = _int(params, "pairs", 50, least=1)
     m_pairs = _int(params, "m_pairs", 20, least=1)
+    if "inner" in config:
+        spec = _section(config, "inner", from_dict)
+        # checked before the corpus is drawn and certified
+        deltas = _num_list(params, "deltas", (0.25, 1.0), _window_delta)
+        p_list = _num_list(params, "p", (1.0, 2.0), _power)
     rng = harness.SplitMix64(seed)
     rows = []
     violations = 0
@@ -392,10 +682,8 @@ def _cmd_lemma_checks(config, out_dir):
         rows.append((name, cases, worst))
 
     if "inner" in config:
-        spec = _section(config, "inner", from_dict)
         funcs, _, _ = _corpus(spec, {**params, "size": _int(params, "size", 5)})
-        checks = harness._sup_sample_checks(funcs, _num_list(params, "deltas", (0.25, 1.0)),
-                                            _num_list(params, "p", (1.0, 2.0)))
+        checks = harness._sup_sample_checks(funcs, deltas, p_list)
         worst = min(right - left for left, right in checks)
         if worst < -VIOLATION_TOL:
             violations += 1

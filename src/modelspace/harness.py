@@ -716,6 +716,24 @@ def _sup_sample_checks(funcs, deltas, ps):
                 yield left, delta ** (-1.0 / p) * norm + delta ** (1.0 - 1.0 / p) * dnorm
 
 
+# the window-sup sum samples |f| 48 times in each window of [-640, 640] and
+# bounds the windows beyond by the tail envelope
+_HULL, _PER_WINDOW = 640.0, 48
+
+
+def _window_count(delta: float) -> int:
+    """Windows on each side of the window-sup sample grid at delta; ValueError
+    when the grid needs more than _WINDOW_SAMPLES samples or overflows."""
+    windows = _HULL / delta  # infinite for a subnormal delta
+    k0 = max(2, math.ceil(windows)) if windows < math.inf else math.inf
+    if 2 * k0 * _PER_WINDOW > _WINDOW_SAMPLES:
+        raise ValueError(f"window-sup sum at delta = {delta!r} needs {2 * k0 * _PER_WINDOW} "
+                         f"samples, more than {_WINDOW_SAMPLES}")
+    if not 2.0 * k0 * delta < math.inf:
+        raise ValueError(f"window-sup sum at delta = {delta!r} overflows its sample grid")
+    return k0
+
+
 def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     """The left side of sup_sample_check; ValueError before any sampling
     when it needs more than _WINDOW_SAMPLES samples or its sample grid
@@ -726,17 +744,10 @@ def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
     m = p * profile.order
     if m < 1.5:
         raise LpNormError("window-sup sum needs an integrable tail exponent")
-    hull, per = 640.0, 48
-    windows = hull / delta  # infinite for a subnormal delta
-    k0 = max(2, math.ceil(windows)) if windows < math.inf else math.inf
-    if 2 * k0 * per > _WINDOW_SAMPLES:
-        raise ValueError(f"window-sup sum at delta = {delta!r} needs {2 * k0 * per} samples, "
-                         f"more than {_WINDOW_SAMPLES}")
-    if not 2.0 * k0 * delta < math.inf:
-        raise ValueError(f"window-sup sum at delta = {delta!r} overflows its sample grid")
+    k0, per = _window_count(delta), _PER_WINDOW
     xs = -k0 * delta + np.arange(2 * k0 * per) * (delta / per)
     env = 1.05 * (abs(profile.lead_a) + abs(profile.lead_b)
-                  + profile.next_scale / hull) / TWO_PI
+                  + profile.next_scale / _HULL) / TWO_PI
     fx = np.abs(f(xs))
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -4,13 +4,16 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modelspace import cli, reconstruct
 from modelspace.cli import main
@@ -302,6 +305,20 @@ def test_decay_rejects_an_empty_method_list(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_decay_refuses_a_repeated_method(tmp_path, capsys, monkeypatch):
+    # a repeat would draw and certify its target again and overwrite its report
+    def no_target(*args):
+        raise AssertionError("target drawn before the method list was checked")
+
+    monkeypatch.setattr("modelspace.harness.random_model_function", no_target)
+    cfg = {"command": "decay", "inner": ONE_ZERO,
+           "params": {"methods": ["clark", "model_oversample", "clark"], "windows": [5]}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == ("config error: params.methods: expected each method once, "
+                                       "got ['clark', 'model_oversample', 'clark']\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_decay_clark_route(tmp_path):
     cfg = {"command": "decay", "inner": ONE_ZERO,
            "params": {"methods": ["clark"], "windows": [50, 150], "seed": 3}}
@@ -492,7 +509,7 @@ def test_lemma_checks_refuse_an_oversized_sampling(tmp_path, capsys):
            "params": {"size": 1, "deltas": [1e-9], "p": [2], "pairs": 1, "m_pairs": 1}}
     assert run_cli(tmp_path, cfg) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "samples, more than 1048576" in err
+    assert err.startswith("config error: params.deltas[0]: ") and "samples, more than 1048576" in err
 
 
 def test_lemma_checks_refuse_a_subnormal_delta(tmp_path, capsys):
@@ -500,7 +517,8 @@ def test_lemma_checks_refuse_a_subnormal_delta(tmp_path, capsys):
            "params": {"size": 1, "deltas": [1e-320], "p": [2], "pairs": 1, "m_pairs": 1}}
     assert run_cli(tmp_path, cfg) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: window-sup sum at delta = 1e-320 needs inf samples")
+    assert err.startswith("config error: params.deltas[0]: window-sup sum at delta = 1e-320 "
+                          "needs inf samples")
 
 
 def test_lemma_checks_refuse_an_overflowing_delta(tmp_path, capsys):
@@ -508,11 +526,39 @@ def test_lemma_checks_refuse_an_overflowing_delta(tmp_path, capsys):
            "params": {"size": 1, "deltas": [1e308], "p": [2], "pairs": 1, "m_pairs": 1}}
     assert run_cli(tmp_path, cfg) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: window-sup sum at delta = 1e+308 overflows its sample grid")
+    assert err.startswith("config error: params.deltas[0]: window-sup sum at delta = 1e+308 "
+                          "overflows its sample grid")
     cfg["params"]["deltas"] = [1e306]
     assert run_cli(tmp_path, cfg) == 0
     _, _, rows = read_report(tmp_path / "lemma_checks.csv")
     assert all(math.isfinite(float(v)) for row in rows for v in row[1:] if v)
+
+
+@pytest.mark.parametrize("command, params, err", [
+    ("certify-sieve", {"deltas": [0.5, -1]}, "deltas[1]: expected a finite number > 0, got -1.0"),
+    ("certify-sieve", {"deltas": [math.inf]}, "deltas[0]: expected a finite number > 0, got inf"),
+    ("certify-sieve", {"p": [2, 0.5]}, "p[1]: expected a finite number >= 1, got 0.5"),
+    ("certify-bernstein", {"p": [2, 4, 0.5]}, "p[2]: expected a finite number >= 1, got 0.5"),
+    ("certify-bernstein", {"p": [math.nan]}, "p[0]: expected a finite number >= 1, got nan"),
+    ("lemma-checks", {"deltas": [0.25, 0]}, "deltas[1]: expected a finite number > 0, got 0.0"),
+    ("lemma-checks", {"deltas": [0.25, 1e-9]},
+     "deltas[1]: window-sup sum at delta = 1e-09 needs 61440000000000 samples, more than 1048576"),
+    ("lemma-checks", {"p": [1, math.inf]}, "p[1]: expected a finite number >= 1, got inf"),
+], ids=["sieve-negative-delta", "sieve-infinite-delta", "sieve-small-p", "bernstein-small-p",
+        "bernstein-nan-p", "lemma-zero-delta", "lemma-oversized-sampling", "lemma-infinite-p"])
+def test_bad_corpus_param_is_refused_before_any_corpus(tmp_path, capsys, monkeypatch,
+                                                       command, params, err):
+    # every delta and p, and the window-sup sample grid of each delta, is
+    # checked before a corpus member is drawn or certified
+    def no_corpus(*args):
+        raise AssertionError("corpus drawn before its params were checked")
+
+    monkeypatch.setattr("modelspace.harness._random_model_functions", no_corpus)
+    cfg = {"command": command, "inner": ONE_ZERO, "measure": ATOM,
+           "params": {"size": 2, "pairs": 1, "m_pairs": 1, **params}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == f"config error: params.{err}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, extra, message", [
@@ -680,6 +726,89 @@ def test_reconstruct_report_memory_is_one_block(tmp_path):
         tracemalloc.stop()
     assert peak <= reconstruct._CHUNK_BYTES + 64 * queries
     assert len((tmp_path / "reconstruct_shannon.csv").read_text().split("\n")) == queries + 6
+
+
+def written_rows(formats, *cols):
+    """The text _write_report writes after the column names for the given columns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.csv")
+        cli._write_report(path, {}, ["c"] * len(cols), formats, *cols)
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8").split("\n", 2)[2]
+
+
+def python_rows(formats, *cols):
+    """The same text from Python's own % applied to each cell."""
+    cols = [np.asarray(col).tolist() for col in cols]
+    return "".join(",".join(fmt % (v,) for fmt, v in zip(formats, row)) + "\n"
+                   for row in zip(*cols))
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# powers of ten across the whole double range, their neighbours two floats
+# either side, and the edges of the digit kernel: the normal range, the
+# fixed-notation limits 1e-4 and 1e17, 10^-11 (the largest 10^(16-e) that a
+# 64-bit 5^q covers) and 2^53
+EDGES = sorted({x for k in range(-325, 310) for base in (float(f"1e{k}"),)
+                for x in (base, math.nextafter(base, 0.0), math.nextafter(base, math.inf),
+                          math.nextafter(math.nextafter(base, 0.0), 0.0),
+                          math.nextafter(math.nextafter(base, math.inf), math.inf))}
+               | {2.2250738585072014e-308, 2.225073858507201e-308, 9.9999999999999999e16,
+                  99999999999999984.0, 2.0**53, 2.0**53 + 2, 2.0**53 - 1, 1e-11 * 0.99999999,
+                  1.7976931348623157e308, 5e-324})
+DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),
+    st.sampled_from(EDGES),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+    # halfway at the 17th significant digit: 16 integer digits and a quarter
+    st.integers(10**15, 10**16 - 1).flatmap(lambda k: st.sampled_from([k + 0.25, k + 0.75])),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False),
+)
+INT64 = st.one_of(st.integers(-2**63, 2**63 - 1),
+                  st.sampled_from([0, -1, 1, 9, -10, 10**18, -10**18, 10**18 - 1, 10**19 // 2,
+                                   -2**63, 2**63 - 1, -2**63 + 1]))
+TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+# below 10 in magnitude, where a block's cells need no point after digit 1
+SMALL = st.one_of(st.floats(-10.0, 10.0, exclude_min=True, exclude_max=True),
+                  st.sampled_from([x for x in EDGES if x < 10.0] + [-0.0, 9.999999999999998]))
+# (format, cells) of a report column; the last two go to Python's % whole
+COLUMNS = st.sampled_from([("%.17g", DOUBLES), ("%.17g", SMALL), ("%d", INT64), ("%s", TEXTS),
+                           ("%s", DOUBLES), ("%.17g", st.integers(-2**53, 2**53))])
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+           COLUMNS.flatmap(lambda kind: st.tuples(st.just(kind[0]),
+                                                  st.lists(kind[1], min_size=n, max_size=n))),
+           min_size=1, max_size=4)),
+       st.sampled_from([1, 3, 8192]))
+def test_report_cells_match_python_format(columns, block):
+    formats = tuple(fmt for fmt, _ in columns)
+    cols = [cells for _, cells in columns]
+    saved = cli._BLOCK
+    cli._BLOCK = block
+    try:
+        assert written_rows(formats, *cols) == python_rows(formats, *cols)
+    finally:
+        cli._BLOCK = saved
+
+
+def test_report_cells_match_python_format_in_bulk():
+    # every double class at volume: random bit patterns, the edges above and
+    # their negatives, 17th-digit ties and the int64 range
+    rng = np.random.default_rng(7)
+    doubles = np.concatenate([rng.integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64),
+                              EDGES, np.negative(EDGES), np.arange(10**15, 10**15 + 4096) + 0.25,
+                              rng.standard_normal(2**14) * 10.0 ** rng.integers(-30, 18, 2**14),
+                              [0.0, -0.0, math.nan, math.inf, -math.inf]])
+    ints = rng.integers(-2**63, 2**63 - 1, len(doubles), dtype=np.int64, endpoint=True)
+    ints[:4] = [-2**63, 2**63 - 1, 0, -1]
+    small = np.where(np.abs(doubles) < 10.0, doubles, 0.5)
+    formats = ("%d", "%.17g", "%.17g")
+    assert written_rows(formats, ints, doubles, small) == python_rows(formats, ints, doubles, small)
 
 
 COMMAND_RUNS = [
