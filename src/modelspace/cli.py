@@ -63,45 +63,46 @@ _POW5_64 = 5 ** np.arange(28, dtype=np.uint64)
 
 
 def _g17_layout():
-    """Slot bytes of a %.17g cell keyed by (e - _EMIN) * 17 + nd - 1 for decimal
-    exponent e and nd significant digits.  A slot is the sign, "0.000", digit
-    i at 6 + 2i with a point after it at 7 + 2i, "e-" and three exponent
-    digits, and four bytes of padding.  Shown digit bytes are 0, to be or-ed
-    with the digit; every byte the cell does not show is _GAP."""
-    e = np.repeat(np.arange(_EMIN, 17), 17)
-    nd = np.tile(np.arange(1, 18), 17 - _EMIN)
+    """The slots of %.17g cells keyed by (max(e, -5) + 5) * 17 + nd - 1 for
+    decimal exponent e <= 16 and nd significant digits, and the exponent
+    word of each e >= _EMIN.  A slot is the sign, "0.000", digit i at 6 + 2i
+    with a point after it at 7 + 2i, then at byte 40 the word "e-" and three
+    exponent digits.  Shown digit bytes are 0, to be or-ed with the digit;
+    every byte a cell does not show is _GAP."""
+    e = np.repeat(np.arange(-5, 17), 17)  # -5 stands for every e < -4
+    nd = np.tile(np.arange(1, 18), 22)
     slot = np.full((len(e), 48), _GAP, np.uint8)
     small = (e >= -4) & (e < 0)
     slot[small, 1:3] = np.frombuffer(b"0.", np.uint8)
     for j in range(3):
         slot[small & (-e - 1 > j), 3 + j] = ord("0")
     last = np.where(e >= 0, np.maximum(e, nd - 1), nd - 1)
-    slot[:, 6:39:2] = np.where(np.arange(17) > last[:, None], _GAP, 0)
-    sci = e < -4
-    points = np.where(sci, 0, e)
-    rows = np.flatnonzero((e >= 0) & (nd - 1 > e) | sci & (nd > 1))
-    slot[rows, 7 + 2 * points[rows]] = ord(".")
-    slot[sci, 39:41] = np.frombuffer(b"e-", np.uint8)
-    big = sci & (e <= -100)
-    slot[big, 41] = ord("0") + -e[big] // 100
-    slot[sci, 42] = ord("0") + -e[sci] // 10 % 10
-    slot[sci, 43] = ord("0") + -e[sci] % 10
-    return slot
+    slot[:, 6:39:2] = np.where(np.arange(17) > last[:, None], np.uint8(_GAP), np.uint8(0))
+    rows = np.flatnonzero((e >= 0) & (nd - 1 > e) | (e == -5) & (nd > 1))
+    slot[rows, 7 + 2 * np.maximum(e[rows], 0)] = ord(".")
+    exp = -np.arange(_EMIN, 17)
+    word = np.full((len(exp), 8), _GAP, np.uint8)
+    sci = exp > 4
+    word[sci, :2] = np.frombuffer(b"e-", np.uint8)
+    word[sci & (exp >= 100), 2] = ord("0") + exp[sci & (exp >= 100)] // 100
+    word[sci, 3] = ord("0") + exp[sci] // 10 % 10
+    word[sci, 4] = ord("0") + exp[sci] % 10
+    return slot, word.view(np.uint64).ravel()
 
 
-# the 48-byte slots, one item per key; and the narrow 32-byte slots for
-# blocks with no |x| >= 10, which have no point after digits 1..15, so
-# digits 1..16 fill bytes 8..23
-_G17_SLOT = _g17_layout()
-_G17_NARROW = np.full((len(_G17_SLOT), 32), _GAP, np.uint8)
-_G17_NARROW[:, :29] = _G17_SLOT[:, np.r_[0:8, 8:39:2, 39:44]]
-_G17_SLOT, _G17_NARROW = _G17_SLOT.view("V48").ravel(), _G17_NARROW.view("V32").ravel()
+# the 48-byte slots, one item per key, and the exponent words, indexed by
+# e - _EMIN; and the narrow 32-byte slots for blocks with no |x| >= 10,
+# which have no point after digits 1..15, so digits 1..16 fill bytes 8..23
+# and the exponent word bytes 24..31
+_G17_SLOT, _G17_EXP = _g17_layout()
+_G17_NARROW = np.ascontiguousarray(_G17_SLOT[:, np.r_[0:8, 8:39:2, 40:48]]).view("V32").ravel()
+_G17_SLOT = _G17_SLOT.view("V48").ravel()
 # 10^1 .. 10^19: an integer of magnitude u has 1 + searchsorted(u) digits
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 # "0000" .. "9999" as four ASCII digits in one uint32, and in one uint64 with
 # a zero byte after each digit (digits 1..16 of a 48-byte slot); and how many
 # of the four digits are trailing zeros
-_DIGITS4 = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_DIGITS4 = (np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
             + ord("0")).astype(np.uint8)
 _SPREAD4 = np.zeros((10000, 8), np.uint8)
 _SPREAD4[:, ::2] = _DIGITS4
@@ -228,13 +229,15 @@ def _fill_g17(slot, x):
         if not len(rows):
             break
         trailing[rows] += _TRAILING4[groups[i][rows]]
-    key = np.where(ok, (e - _EMIN) * 17 + np.maximum(16 - trailing, 0), 0)
+    e = np.where(ok, e, 0)  # the rows left to Python take any valid slot
+    key = (np.maximum(e, -5) + 5) * 17 + np.maximum(16 - trailing, 0)
     if slot.shape[1] == 48:
         cells = _G17_SLOT[key].view(np.uint8).reshape(-1, 48)
         words, table, first = cells.view(np.uint64), _SPREAD4, 1
     else:
         cells = _G17_NARROW[key].view(np.uint8).reshape(-1, 32)
         words, table, first = cells.view(np.uint32), _DIGITS4, 2
+    cells.view(np.uint64)[:, -1] = _G17_EXP[e - _EMIN]
     for i in range(1, 5):
         words[:, first + i - 1] |= table[groups[i]]
     cells[:, 6] |= (ord("0") + groups[0]).astype(np.uint8)

@@ -650,7 +650,7 @@ ATOMS_AND_PIECES = {"atoms": [{"x": 0.3, "mass": 1.0}, {"x": 2.5, "mass": 0.5}],
                     "pieces": [{"l": -1.0, "r": 0.0, "h": 0.8}, {"l": 1.0, "r": 1.75, "h": 1.2}]}
 # sha256 of reports, generated_at line removed, for runs the README
 # examples miss: a kernel-method decay over three windows, a node CSV long
-# enough to span several write blocks (cli._BLOCK = 8192 rows), a
+# enough to span several write blocks (cli._BLOCK = 4096 rows), a
 # phase-adapted density over unsorted deltas with a duplicate, lemma
 # checks with a corpus, whose window_sup_budget row no README example has,
 # a sieve certificate whose measure has atoms as well as pieces, and a
@@ -784,7 +784,7 @@ COLUMNS = st.sampled_from([("%.17g", DOUBLES), ("%.17g", SMALL), ("%d", INT64), 
            COLUMNS.flatmap(lambda kind: st.tuples(st.just(kind[0]),
                                                   st.lists(kind[1], min_size=n, max_size=n))),
            min_size=1, max_size=4)),
-       st.sampled_from([1, 3, 8192]))
+       st.sampled_from([1, 3, 4096]))
 def test_report_cells_match_python_format(columns, block):
     formats = tuple(fmt for fmt, _ in columns)
     cols = [cells for _, cells in columns]
