@@ -8,12 +8,12 @@ build and BLAS thread count: the reconstructions' matrix products round by
 how BLAS splits them over threads.
 
 Every CSV cell holds exactly the bytes of Python's % with its column's
-format.  %.17g cells of float64 columns with 1e-308 <= |x| < 1e17 or x = 0,
-and %d cells of integer columns, take their digits from an exact integer
-kernel: the 17 significant digits are |x| * 10^(16 - e) rounded half to
-even, from the exact product of the mantissa and 5^(16 - e).  Every other
-cell (nan, inf, subnormal, |x| >= 1e17, %s and other formats or dtypes) is
-formatted by Python itself.
+format.  %.17g cells of float64 columns holding a zero or a normal double
+below 1e17 in magnitude, and %d cells of integer columns, take their digits
+from an exact integer kernel: the 17 significant digits are |x| * 10^(16 - e)
+rounded half to even, from the exact product of the mantissa and
+5^(16 - e).  Every other cell (nan, inf, subnormal, |x| >= 1e17, %s and
+other formats or dtypes) is formatted by Python itself.
 """
 from __future__ import annotations
 
@@ -49,7 +49,8 @@ _BLOCK = 4096
 # a byte no UTF-8 text holds: marks the bytes of a cell slot that are not written
 _GAP = 255
 _M32 = 0xFFFFFFFF
-# %.17g cells 10^-308 <= |x| < 10^17 scale by 10^(16 - e), 0 <= 16 - e <= _QMAX
+# a normal double below 10^17 has decimal exponent -308 <= e <= 16 and is
+# scaled by 10^q, q = 16 - e <= _QMAX
 _QMAX = 324
 _EMIN = 16 - _QMAX
 
