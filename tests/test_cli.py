@@ -744,6 +744,13 @@ def python_rows(formats, *cols):
                    for row in zip(*cols))
 
 
+def differing_rows(got, want):
+    """The first few (written, Python) row pairs that differ, and whether the
+    row counts differ; a short failure message for a long report."""
+    pairs = zip(got.split("\n"), want.split("\n"))
+    return [pair for pair in pairs if pair[0] != pair[1]][:5], got.count("\n") - want.count("\n")
+
+
 def _double(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -791,7 +798,7 @@ def test_report_cells_match_python_format(columns, block):
     saved = cli._BLOCK
     cli._BLOCK = block
     try:
-        assert written_rows(formats, *cols) == python_rows(formats, *cols)
+        assert differing_rows(written_rows(formats, *cols), python_rows(formats, *cols)) == ([], 0)
     finally:
         cli._BLOCK = saved
 
@@ -808,7 +815,8 @@ def test_report_cells_match_python_format_in_bulk():
     ints[:4] = [-2**63, 2**63 - 1, 0, -1]
     small = np.where(np.abs(doubles) < 10.0, doubles, 0.5)
     formats = ("%d", "%.17g", "%.17g")
-    assert written_rows(formats, ints, doubles, small) == python_rows(formats, ints, doubles, small)
+    assert differing_rows(written_rows(formats, ints, doubles, small),
+                          python_rows(formats, ints, doubles, small)) == ([], 0)
 
 
 COMMAND_RUNS = [
