@@ -745,8 +745,8 @@ def python_rows(formats, *cols):
 
 
 def differing_rows(got, want):
-    """The first few (written, Python) row pairs that differ, and whether the
-    row counts differ; a short failure message for a long report."""
+    """The first few (written, Python) row pairs that differ, and the
+    difference in row counts: a short failure message for a long report."""
     pairs = zip(got.split("\n"), want.split("\n"))
     return [pair for pair in pairs if pair[0] != pair[1]][:5], got.count("\n") - want.count("\n")
 
