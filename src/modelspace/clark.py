@@ -80,10 +80,10 @@ def invert_phase(spec: InnerFunctionSpec, target):
     phi(x) - target and then takes the Newton step, or the bracket midpoint
     when the Newton step would leave the open bracket or not halve the step
     before it.  Targets go in chunks of _CHUNK, and only targets still open
-    are evaluated.  A target is done once its residual is at most
-    1e-14 (1 + |target|) or its Newton step at most 1e-15 (1 + |x|), and
-    that last Newton step is kept; or once no float lies strictly inside its
-    bracket.  Raises RuntimeError when a target is still open after
+    are evaluated, from a state compacted to them.  A target is done once
+    its residual is at most 1e-14 (1 + |target|) or its Newton step at most
+    1e-15 (1 + |x|), and that last Newton step is kept; or once no float
+    lies strictly inside its bracket.  Raises RuntimeError when a target is still open after
     _MAX_STEPS steps, and ValueError for a non-finite target.  Requires
     c > 0 (otherwise the phase has bounded range).
     """
@@ -99,34 +99,38 @@ def invert_phase(spec: InnerFunctionSpec, target):
 
 
 def _newton_bracketed(spec: InnerFunctionSpec, t: np.ndarray) -> np.ndarray:
-    """invert_phase on a 1-d array of finite targets."""
-    x = (t - spec.tau) / spec.c
+    """invert_phase on a 1-d array of finite targets.  The open targets'
+    iterate, target, bracket, last step and position are kept compacted;
+    a step writes the targets it finishes into x and drops them."""
+    x = np.empty_like(t)
+    xa = (t - spec.tau) / spec.c
     pad = TWO_PI * spec.total_multiplicity / spec.c + 1.0
-    lo = x - pad
-    hi = x + pad
-    step = np.full_like(x, 2.0 * pad)
-    todo = np.arange(t.size)
+    lo, hi, ta = xa - pad, xa + pad, t
+    step = np.full_like(xa, 2.0 * pad)
+    at = np.arange(t.size)
     for _ in range(_MAX_STEPS):
-        if todo.size == 0:
+        if at.size == 0:
             return x
-        xa, ta = x[todo], t[todo]
         vals, derivs = phase_arrays(spec, xa)
         resid = vals - ta
-        la = np.where(resid < 0.0, xa, lo[todo])
-        ha = np.where(resid > 0.0, xa, hi[todo])
+        lo = np.where(resid < 0.0, xa, lo)
+        hi = np.where(resid > 0.0, xa, hi)
         newton = resid / derivs
         small = ((np.abs(resid) <= 1e-14 * (1.0 + np.abs(ta)))
                  | (np.abs(newton) <= 1e-15 * (1.0 + np.abs(xa))))
         xn = xa - newton
-        mid = 0.5 * (la + ha)
-        bisect = ~small & ((xn <= la) | (xn >= ha)
-                           | (np.abs(newton) > 0.5 * np.abs(step[todo])))
+        mid = 0.5 * (lo + hi)
+        bisect = ~small & ((xn <= lo) | (xn >= hi) | (np.abs(newton) > 0.5 * np.abs(step)))
         xn = np.where(bisect, mid, xn)
-        done = small | (mid == la) | (mid == ha)
-        x[todo], lo[todo], hi[todo], step[todo] = xn, la, ha, xn - xa
-        todo = todo[~done]
-    if todo.size:
-        raise RuntimeError(f"phase inversion left {todo.size} targets unconverged "
+        done = small | (mid == lo) | (mid == hi)
+        step = xn - xa
+        xa = xn
+        if done.any():
+            x[at[done]] = xa[done]
+            keep = ~done
+            xa, ta, lo, hi, step, at = xa[keep], ta[keep], lo[keep], hi[keep], step[keep], at[keep]
+    if at.size:
+        raise RuntimeError(f"phase inversion left {at.size} targets unconverged "
                            f"after {_MAX_STEPS} steps")
     return x
 

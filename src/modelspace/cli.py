@@ -425,12 +425,18 @@ def _out_path(config: dict, out_dir: str, default_name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _corpus(spec, params):
-    size = _int(params, "size", 20, least=1)
-    count = _int(params, "count", 5, least=1)
-    seed = _int(params, "seed", 1)
-    funcs = harness._random_model_functions(spec, count, [seed + 1000 * i for i in range(size)])
-    return funcs, seed, count
+def _corpus_params(params: dict, size: int = 20):
+    """(size, count, seed) of a corpus, checked before any work."""
+    return (_int(params, "size", size, least=1), _int(params, "count", 5, least=1),
+            _int(params, "seed", 1))
+
+
+def _corpus(spec, size: int, count: int, seed: int):
+    """The corpus members and the panel table that the command's norm passes
+    share with their normalisation (None for a zero-free spec)."""
+    table = harness._panel_table(spec)
+    seeds = [seed + 1000 * i for i in range(size)]
+    return harness._random_model_functions(spec, count, seeds, table), table
 
 
 def _cmd_nodes(config, out_dir):
@@ -604,8 +610,9 @@ def _cmd_certify_sieve(config, out_dir):
     # checked before the corpus is drawn and certified
     deltas = _num_list(params, "deltas", (0.1, 0.5, 1.0, 2.0), _positive)
     p_list = _num_list(params, "p", (1.0, 2.0), _power)
-    funcs, seed, count = _corpus(spec, params)
-    norms = harness._corpus_norms([(f, p, False) for p in p_list for f in funcs])
+    size, count, seed = _corpus_params(params)
+    funcs, table = _corpus(spec, size, count, seed)
+    norms = harness._corpus_norms([(f, p, False) for p in p_list for f in funcs], table)
     # the ratios do not depend on delta
     worsts = [max(sieve.empirical_embedding_ratio(f, measure, p, next(norms)[0])
                   for f in funcs) for p in p_list]
@@ -634,8 +641,9 @@ def _cmd_certify_bernstein(config, out_dir):
     p_list = _num_list(params, "p", (1.0, 2.0, 4.0), _power)
     rows = []
     violations = 0
-    funcs, seed, count = _corpus(spec, params)
-    checks = harness._bernstein_checks(funcs, p_list)
+    size, count, seed = _corpus_params(params)
+    funcs, table = _corpus(spec, size, count, seed)
+    checks = harness._bernstein_checks(funcs, p_list, table)
     for p in p_list:
         worst = 0.0
         for _ in funcs:
@@ -659,9 +667,10 @@ def _cmd_lemma_checks(config, out_dir):
     m_pairs = _int(params, "m_pairs", 20, least=1)
     if "inner" in config:
         spec = _section(config, "inner", from_dict)
-        # checked before the corpus is drawn and certified
+        # checked before the sinc-power integrals and the corpus
         deltas = _num_list(params, "deltas", (0.25, 1.0), _window_delta)
         p_list = _num_list(params, "p", (1.0, 2.0), _power)
+        size, count, _ = _corpus_params(params, 5)
     rng = harness.SplitMix64(seed)
     rows = []
     violations = 0
@@ -686,8 +695,8 @@ def _cmd_lemma_checks(config, out_dir):
         rows.append((name, cases, worst))
 
     if "inner" in config:
-        funcs, _, _ = _corpus(spec, {**params, "size": _int(params, "size", 5)})
-        checks = harness._sup_sample_checks(funcs, deltas, p_list)
+        funcs, table = _corpus(spec, size, count, seed)
+        checks = harness._sup_sample_checks(funcs, deltas, p_list, table)
         worst = min(right - left for left, right in checks)
         if worst < -VIOLATION_TOL:
             violations += 1

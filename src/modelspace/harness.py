@@ -122,7 +122,8 @@ class _PanelTable:
 
     The certified norms of one lockstep pass start from the same panels and
     only bisect them, so most rows recur; _certified_masses keeps a table for
-    that pass alone, only for a spec with zeros (without them Theta is one
+    that pass, or shares the one a corpus command passes down to all its
+    passes, only for a spec with zeros (without them Theta is one
     exponential, and a table would only cost memory).  Theta and phi' bits
     of a point do not depend on the batch it is evaluated in, so a stored
     row holds exactly what a fresh evaluation returns.  A row is stored with
@@ -545,21 +546,29 @@ def _certified_norm(f: KernelCombination, p: float, derivative: bool):
     return mass ** (1.0 / p), unc
 
 
-def _certified_masses(items) -> list:
+def _panel_table(spec: InnerFunctionSpec):
+    """A panel table for spec's lockstep passes, or None for a zero-free spec."""
+    return _PanelTable(spec) if spec.zeros else None
+
+
+def _certified_masses(items, table=None) -> list:
     """(mass, uncertainty, radius) of _certified_mass for each (f, p,
     derivative) item, with its bits, or the exception it raises; the items
     share one spec.  All are integrated at the first radius in one lockstep
     quadrature, and any that does not certify there goes on to the later
     radii of _certified_mass.
-    Theta and phi' come once per group of rows, from a panel table that
-    lives for this pass if the spec has zeros (a zero-free Theta is one
-    exponential, which a table would only cost memory to store); the kernel
-    sums, which round by batch, run on each integral's own rows.
+    Theta and phi' come once per group of rows, from table, the panel table
+    of the items' spec that a corpus command shares between its passes, or
+    else from one that lives for this pass if the spec has zeros (a
+    zero-free Theta is one exponential, which a table would only cost
+    memory to store); the kernel sums, which round by batch, run on each
+    integral's own rows.
     """
     spec = items[0][0].spec if items else None
     if any(f.spec != spec for f, _, _ in items):
         raise ValueError("certified masses of one pass need a common spec")
-    table = _PanelTable(spec) if items and spec.zeros else None
+    if table is None and items:
+        table = _panel_table(spec)
     out, setups = [None] * len(items), {}
     for k, (f, p, derivative) in enumerate(items):
         try:
@@ -602,10 +611,11 @@ def _certified_masses(items) -> list:
     return out
 
 
-def _corpus_norms(items):
+def _corpus_norms(items, table=None):
     """(norm, uncertainty) of each (f, p, derivative) item in turn, certified
-    in one lockstep pass; reaching an item that failed raises its error."""
-    for (_, p, _), outcome in zip(items, _certified_masses(items)):
+    in one lockstep pass that reads Theta and phi' through table (see
+    _certified_masses); reaching an item that failed raises its error."""
+    for (_, p, _), outcome in zip(items, _certified_masses(items, table)):
         if isinstance(outcome, Exception):
             raise outcome
         yield outcome[0] ** (1.0 / float(p)), outcome[1]
@@ -626,12 +636,12 @@ def bernstein_check(f: KernelCombination, p: float):
     return next(_bernstein_checks([f], [p]))
 
 
-def _bernstein_checks(funcs, ps):
+def _bernstein_checks(funcs, ps, table=None):
     """bernstein_check's pair for each p and then each member in turn.  Every
-    norm is certified in one lockstep pass, f' before f, and a failure
-    raises where checking one at a time meets it first."""
+    norm is certified in one lockstep pass through table, f' before f, and a
+    failure raises where checking one at a time meets it first."""
     norms = _corpus_norms([(f, p, derivative) for p in ps for f in funcs
-                           for derivative in (True, False)])
+                           for derivative in (True, False)], table)
     for _ in ps:
         for f in funcs:
             (dnorm, _), (norm, _) = next(norms), next(norms)
@@ -676,12 +686,12 @@ def _draws(spec: InnerFunctionSpec, count: int, seed: int):
             yield KernelCombination(spec=spec, anchors=anchors, coefficients=coeffs)
 
 
-def _random_model_functions(spec: InnerFunctionSpec, count: int, seeds) -> list:
+def _random_model_functions(spec: InnerFunctionSpec, count: int, seeds, table=None) -> list:
     """random_model_function at each seed, the first candidates' L^2 norms
-    certified in one lockstep pass; a member whose first candidate is
-    degenerate draws on alone."""
+    certified in one lockstep pass through table; a member whose first
+    candidate is degenerate draws on alone."""
     firsts = [next(_draws(spec, count, seed)) for seed in seeds]
-    norms = _corpus_norms([(f, 2.0, False) for f in firsts])
+    norms = _corpus_norms([(f, 2.0, False) for f in firsts], table)
     return [KernelCombination(spec=spec, anchors=f.anchors, coefficients=f.coefficients / norm)
             if norm > 1e-8 else random_model_function(spec, count, seed)
             for seed, f, (norm, _) in zip(seeds, firsts, norms)]
@@ -698,18 +708,20 @@ def sup_sample_check(f: KernelCombination, delta: float, p: float):
     return next(_sup_sample_checks([f], [delta], [p]))
 
 
-def _sup_sample_checks(funcs, deltas, ps):
+def _sup_sample_checks(funcs, deltas, ps, table=None):
     """(left, right) of sup_sample_check for each member, delta and distinct
     p in turn.  Each ‖f‖_p and ‖f'‖_p is certified once, all in one lockstep
-    pass, and a failure raises where checking one at a time meets it first."""
+    pass through table, |f| is sampled once per member and delta, and a
+    failure raises where checking one at a time meets it first."""
     ps = list(dict.fromkeys(float(p) for p in ps))
     norms = _corpus_norms([(f, p, derivative) for f in funcs for p in ps
-                           for derivative in (False, True)])
+                           for derivative in (False, True)], table)
     for f in funcs:
         budget = {}
         for delta in map(float, deltas):
+            lefts = _window_sup_sums(f, delta, ps)
             for p in ps:
-                left = _window_sup_sum(f, delta, p)
+                left = next(lefts)
                 if p not in budget:
                     budget[p] = next(norms)[0], next(norms)[0]
                 norm, dnorm = budget[p]
@@ -734,29 +746,33 @@ def _window_count(delta: float) -> int:
     return k0
 
 
-def _window_sup_sum(f: KernelCombination, delta: float, p: float) -> float:
-    """The left side of sup_sample_check; ValueError before any sampling
-    when it needs more than _WINDOW_SAMPLES samples or its sample grid
-    overflows, LpNormError when a p-th power overflows."""
-    if not (0.0 < delta < math.inf and 1.0 <= p < math.inf):
-        raise ValueError("delta must be positive and p >= 1, both finite")
-    profile = f.decay_profile()
-    m = p * profile.order
-    if m < 1.5:
-        raise LpNormError("window-sup sum needs an integrable tail exponent")
-    k0, per = _window_count(delta), _PER_WINDOW
-    xs = -k0 * delta + np.arange(2 * k0 * per) * (delta / per)
-    env = 1.05 * (abs(profile.lead_a) + abs(profile.lead_b)
-                  + profile.next_scale / _HULL) / TWO_PI
-    fx = np.abs(f(xs))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            interior = float((fx**p).reshape(2 * k0, per).max(axis=1).sum())
-        tail = 2.0 * env**p * delta**-m * (k0 - 1.0) ** (1.0 - m) / (m - 1.0)
-    except (OverflowError, FloatingPointError):
-        raise LpNormError(f"window-sup sum at p = {p:g} and delta = {delta!r} "
-                          "overflows") from None
-    return (interior + tail) ** (1.0 / p)
+def _window_sup_sums(f: KernelCombination, delta: float, ps):
+    """The left side of sup_sample_check at each p of ps in turn, from one
+    sampling of |f| on delta's grid, taken when the first p needs it.  For
+    each p: ValueError before any sampling when it needs more than
+    _WINDOW_SAMPLES samples or its sample grid overflows, LpNormError when a
+    p-th power overflows."""
+    fx = None
+    for p in ps:
+        if not (0.0 < delta < math.inf and 1.0 <= p < math.inf):
+            raise ValueError("delta must be positive and p >= 1, both finite")
+        profile = f.decay_profile()
+        m = p * profile.order
+        if m < 1.5:
+            raise LpNormError("window-sup sum needs an integrable tail exponent")
+        k0, per = _window_count(delta), _PER_WINDOW
+        if fx is None:
+            fx = np.abs(f(-k0 * delta + np.arange(2 * k0 * per) * (delta / per)))
+        env = 1.05 * (abs(profile.lead_a) + abs(profile.lead_b)
+                      + profile.next_scale / _HULL) / TWO_PI
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                interior = float((fx**p).reshape(2 * k0, per).max(axis=1).sum())
+            tail = 2.0 * env**p * delta**-m * (k0 - 1.0) ** (1.0 - m) / (m - 1.0)
+        except (OverflowError, FloatingPointError):
+            raise LpNormError(f"window-sup sum at p = {p:g} and delta = {delta!r} "
+                              "overflows") from None
+        yield (interior + tail) ** (1.0 / p)
 
 
 def spec_hash(spec: InnerFunctionSpec) -> str:

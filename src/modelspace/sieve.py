@@ -104,7 +104,12 @@ class MeasureSpec:
         return lo, hi
 
     def window_mass(self, start, length):
-        """mu([start, start + length]) with closed endpoints; vectorized."""
+        """mu([start, start + length]) with closed endpoints; vectorized.
+
+        Summed one term at a time over the whole batch: a (terms x block)
+        fold of the same sums ran 1.4-1.5x slower on a 64-atom, 25-piece
+        measure at 4848 and 22213 points, as NumPy broadcasts the (terms x 1)
+        columns at about half the speed of a scalar operand."""
         x = np.asarray(start, dtype=float)
         ln = np.asarray(length, dtype=float)
         out = np.zeros(np.broadcast(x, ln).shape)

@@ -4,9 +4,10 @@ Deliberately dumb implementations: composite Simpson with one Richardson
 step, dense grid scans, golden-section refinement, central differences,
 fixed-round bisection for the phase inverse, the allocating per-zero
 forms of Theta, phi, phi' and of the kernel-combination values and
-derivative, the
-dense O(N*M) node x query sums of the four reconstruction routes, and
-earlier loops kept as bit-for-bit references for their replacements.
+derivative, the full-length-state Newton phase inverse, the per-term
+window mass, the dense O(N*M) node x query sums of the four
+reconstruction routes, and earlier loops kept as bit-for-bit references
+for their replacements.
 Nothing here may import the adaptive quadrature, the phase inversion or the
 reconstruction code under test; the earlier adapted-density search takes the
 phase inversion as an argument.
@@ -120,6 +121,64 @@ def kernel_combination_derivative(f, x):
     num = 1.0 - qbar[:, None] * theta[None, :]
     terms = (-qbar[:, None] * dtheta[None, :] * den - num) / den**2
     return ((0.5j / math.pi) * (f.coefficients[None, :] @ terms)[0]).reshape(np.shape(x))
+
+
+def full_length_newton_inverse(spec, target, max_steps=64):
+    """invert_phase as it was before its open-target state was compacted:
+    every safeguarded Newton step gathers the open targets' iterate, target,
+    bracket and last step from full-length arrays and scatters them back,
+    with phi and phi' from summed_phase_arrays.  Raises ValueError for a
+    non-finite target and RuntimeError when a target is open after
+    max_steps steps; targets go in one batch (invert_phase's chunks do not
+    change a target's bits, only the count in that message)."""
+    t = np.asarray(target, dtype=float).ravel()
+    if not np.all(np.isfinite(t)):
+        raise ValueError("phase targets must be finite")
+    x = (t - spec.tau) / spec.c
+    pad = 2.0 * math.pi * spec.total_multiplicity / spec.c + 1.0
+    lo = x - pad
+    hi = x + pad
+    step = np.full_like(x, 2.0 * pad)
+    todo = np.arange(t.size)
+    for _ in range(max_steps):
+        if todo.size == 0:
+            break
+        xa, ta = x[todo], t[todo]
+        vals, derivs = summed_phase_arrays(spec, xa)
+        resid = vals - ta
+        la = np.where(resid < 0.0, xa, lo[todo])
+        ha = np.where(resid > 0.0, xa, hi[todo])
+        newton = resid / derivs
+        small = ((np.abs(resid) <= 1e-14 * (1.0 + np.abs(ta)))
+                 | (np.abs(newton) <= 1e-15 * (1.0 + np.abs(xa))))
+        xn = xa - newton
+        mid = 0.5 * (la + ha)
+        bisect = ~small & ((xn <= la) | (xn >= ha)
+                           | (np.abs(newton) > 0.5 * np.abs(step[todo])))
+        xn = np.where(bisect, mid, xn)
+        done = small | (mid == la) | (mid == ha)
+        x[todo], lo[todo], hi[todo], step[todo] = xn, la, ha, xn - xa
+        todo = todo[~done]
+    if todo.size:
+        raise RuntimeError(f"phase inversion left {todo.size} targets unconverged "
+                           f"after {max_steps} steps")
+    if np.ndim(target) == 0:
+        return float(x[0])
+    return x.reshape(np.shape(target))
+
+
+def looped_window_mass(measure, start, length):
+    """mu([start, start + length]) one atom and then one piece at a time,
+    each term added to a running sum of the broadcast shape."""
+    x = np.asarray(start, dtype=float)
+    ln = np.asarray(length, dtype=float)
+    out = np.zeros(np.broadcast(x, ln).shape)
+    for a in measure.atoms:
+        out = out + a.mass * ((x <= a.position) & (a.position <= x + ln))
+    for q in measure.pieces:
+        cover = np.minimum(x + ln, q.right) - np.maximum(x, q.left)
+        out = out + q.height * np.maximum(0.0, cover)
+    return out
 
 
 def bisect_invert_phase(spec, target):

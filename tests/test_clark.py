@@ -191,6 +191,51 @@ def test_invert_phase_rejects_nonfinite_targets(spec_two):
             invert_phase(spec_two, np.array([0.0, bad]))
 
 
+def _newton_specs():
+    """Specs with 1, 2, 32 and 33 zeros and multiplicities 1-3."""
+    rng = np.random.default_rng(31)
+    return [InnerFunctionSpec(tau=rng.uniform(0.0, 2.0 * math.pi), c=c,
+                              zeros=tuple(BlaschkeZero(rng.uniform(-100.0, 100.0),
+                                                       rng.uniform(0.05, 3.0),
+                                                       int(rng.integers(1, 4)))
+                                          for _ in range(count)))
+            for count, c in ((1, 1.0), (2, 0.3), (32, 2.0), (33, 1.0))]
+
+
+@pytest.mark.parametrize("spec", _newton_specs(), ids=lambda s: f"{len(s.zeros)}-zeros")
+def test_invert_phase_matches_the_full_length_newton_oracle(spec):
+    # the compacted open-target state takes the same steps as gathering and
+    # scattering full-length arrays, past one _CHUNK too
+    rng = np.random.default_rng(32)
+    for size in (1, 2, 37, clark._CHUNK + 5):
+        targets = rng.uniform(-400.0, 400.0, size)
+        want = oracles.full_length_newton_inverse(spec, targets)
+        assert invert_phase(spec, targets).tobytes() == want.tobytes()
+    grid = rng.uniform(-50.0, 50.0, (4, 6))
+    assert (invert_phase(spec, grid).tobytes()
+            == oracles.full_length_newton_inverse(spec, grid).tobytes())
+    point = float(rng.uniform(-50.0, 50.0))
+    got = invert_phase(spec, point)
+    assert isinstance(got, float) and got == oracles.full_length_newton_inverse(spec, point)
+
+
+def test_invert_phase_raises_as_the_full_length_newton_oracle(spec_two, monkeypatch):
+    targets = np.linspace(-10.0, 10.0, 5)
+    for steps in (1, 3):
+        monkeypatch.setattr(clark, "_MAX_STEPS", steps)
+        with pytest.raises(RuntimeError) as want:
+            oracles.full_length_newton_inverse(spec_two, targets, max_steps=steps)
+        with pytest.raises(RuntimeError) as got:
+            invert_phase(spec_two, targets)
+        assert str(got.value) == str(want.value)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError) as want:
+            oracles.full_length_newton_inverse(spec_two, [0.0, bad])
+        with pytest.raises(ValueError) as got:
+            invert_phase(spec_two, [0.0, bad])
+        assert str(got.value) == str(want.value)
+
+
 def test_invert_phase_requires_growth():
     blaschke_only = InnerFunctionSpec(tau=0.0, c=0.0, zeros=(BlaschkeZero(0.0, 1.0),))
     with pytest.raises(NoNodesError):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from modelspace import cli, reconstruct
 from modelspace.cli import main
+from modelspace.inner import from_dict
 
 
 def run_cli(tmp_path, config, name="cfg.json", extra_args=()):
@@ -491,7 +492,8 @@ def test_lemma_checks_with_window_budget(tmp_path):
 @pytest.mark.parametrize("module, name, fake, negative", [
     ("modelspace.cli", "_xi_integrals", lambda pairs, power: [1e3] * len(pairs),
      ["squared_product_bound", "fourth_power_bound"]),
-    ("modelspace.harness", "_window_sup_sum", lambda f, delta, p: 1e3, ["window_sup_budget"]),
+    ("modelspace.harness", "_window_sup_sums", lambda f, delta, ps: iter([1e3] * len(ps)),
+     ["window_sup_budget"]),
 ], ids=["kernel-products", "window-sup"])
 def test_lemma_checks_detect_violation(tmp_path, monkeypatch, module, name, fake, negative):
     # integrals or window sums far above their bounds must flip the exit code to 2
@@ -532,6 +534,49 @@ def test_lemma_checks_refuse_an_overflowing_delta(tmp_path, capsys):
     assert run_cli(tmp_path, cfg) == 0
     _, _, rows = read_report(tmp_path / "lemma_checks.csv")
     assert all(math.isfinite(float(v)) for row in rows for v in row[1:] if v)
+
+
+@pytest.mark.parametrize("key, value, err", [
+    ("size", 0, "params.size: expected an integer >= 1, got 0"),
+    ("count", 0, "params.count: expected an integer >= 1, got 0"),
+    ("seed", 1.5, "params.seed: expected an integer, got 1.5"),
+])
+def test_lemma_checks_refuse_a_bad_corpus_before_any_integral(tmp_path, capsys, monkeypatch,
+                                                              key, value, err):
+    def no_integrals(*args):
+        raise AssertionError("sinc-power pairs integrated before the corpus params were checked")
+
+    monkeypatch.setattr(cli, "_xi_integrals", no_integrals)
+    cfg = {"command": "lemma-checks", "inner": ONE_ZERO, "params": {key: value}}
+    assert run_cli(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
+def test_lemma_checks_sample_each_member_once_per_delta(tmp_path, monkeypatch):
+    # the window-sup grid depends on delta alone, so |f| is sampled once per
+    # member and delta and serves every p; the rows are those of sampling
+    # per p (PINNED_RUNS["lemma_checks_inner"] pins the default run)
+    from modelspace import harness
+
+    calls = []
+    real = harness.KernelCombination.__call__
+
+    def counted(f, z):
+        calls.append(int(np.size(z)))
+        return real(f, z)
+
+    monkeypatch.setattr(harness.KernelCombination, "__call__", counted)
+    cfg = {"command": "lemma-checks", "inner": ONE_ZERO,
+           "params": {"pairs": 1, "m_pairs": 1, "size": 5}}
+    assert run_cli(tmp_path, cfg) == 0
+    assert (len(calls), sum(calls)) == (10, 1536000)
+    _, _, rows = read_report(tmp_path / "lemma_checks.csv")
+    monkeypatch.setattr(harness.KernelCombination, "__call__", real)
+    funcs, _ = cli._corpus(from_dict(ONE_ZERO), 5, 5, 1)
+    checks = [harness.sup_sample_check(f, delta, p)
+              for f in funcs for delta in (0.25, 1.0) for p in (1.0, 2.0)]
+    per_p = min(right - left for left, right in checks)
+    assert rows[-1] == ["window_sup_budget", "5", format(per_p, ".17g")]
 
 
 @pytest.mark.parametrize("command, params, err", [

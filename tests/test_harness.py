@@ -909,3 +909,46 @@ def test_cli_drops_the_panel_table(tmp_path, monkeypatch):
         gc.collect()
         assert not any(isinstance(o, harness._PanelTable) for o in gc.get_objects())
     assert runs[0] == runs[1] > 0
+
+
+def test_corpus_passes_share_one_panel_table(spec_two, monkeypatch):
+    # the normalisation pass and a later norm pass start from the same
+    # panels: through one table the later pass evaluates Theta at fewer
+    # points, with the bits of a pass on a table of its own
+    seeds = [5, 1005, 2005]
+    items = lambda funcs: [(f, p, derivative) for p in (1.0, 2.0) for f in funcs
+                           for derivative in (True, False)]
+    alone = harness._random_model_functions(spec_two, 5, seeds)
+    want = [np.array(n).view(np.uint64).tolist() for n in harness._corpus_norms(items(alone))]
+    points = _count_theta_points(monkeypatch)
+    list(harness._corpus_norms(items(alone)))
+    unshared = points[0]
+    built = _tables(monkeypatch)
+    table = harness._panel_table(spec_two)
+    funcs = harness._random_model_functions(spec_two, 5, seeds, table)
+    points[0] = 0
+    got = [np.array(n).view(np.uint64).tolist() for n in harness._corpus_norms(items(funcs), table)]
+    assert got == want and built == [table]
+    assert 0 < points[0] < unshared
+    assert harness._panel_table(InnerFunctionSpec(c=1.0)) is None
+
+
+@pytest.mark.parametrize("command, params", [
+    ("certify-bernstein", {"p": [2]}),
+    ("certify-sieve", {"p": [2], "deltas": [0.5]}),
+    ("lemma-checks", {"p": [2], "deltas": [1.0], "pairs": 1, "m_pairs": 1}),
+])
+def test_corpus_command_builds_one_panel_table(tmp_path, monkeypatch, command, params):
+    import json
+
+    from modelspace.cli import main
+
+    built = _tables(monkeypatch)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "command": command, "measure": {"atoms": [{"x": 0.0, "mass": 1.0}]},
+        "inner": {"c": 1.0, "zeros": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]},
+        "params": {"size": 2, **params}}), encoding="utf-8")
+    assert main(["--config", str(config), "--out", str(tmp_path)]) in (0, 2)
+    (table,) = built
+    assert table.size > 1

@@ -145,6 +145,75 @@ def test_phase_derivative_bits_match_phase_arrays():
         assert np.ndim(got) == 0 and got == oracles.summed_phase_arrays(spec, x)[1]
 
 
+def _block_specs():
+    """Specs with 1, 2, 32 and 33 zeros, multiplicities 1-3, and a c = 0
+    spec with zeros."""
+    rng = np.random.default_rng(23)
+    specs = []
+    for count, c in ((1, 1.5), (2, 0.7), (32, 2.0), (33, 1.0), (5, 0.0)):
+        zeros = tuple(BlaschkeZero(rng.uniform(-100.0, 100.0), rng.uniform(0.05, 3.0),
+                                   int(rng.integers(1, 4))) for _ in range(count))
+        specs.append(InnerFunctionSpec(tau=rng.uniform(-3.0, 3.0), c=c, zeros=zeros))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _block_specs(), ids=lambda s: f"{len(s.zeros)}-zeros-c{s.c:g}")
+def test_phase_blocks_match_the_per_zero_sums(spec):
+    # every batch size around the block edges, both outputs alone and together
+    rng = np.random.default_rng(24)
+    block = max(inner._MIN_BLOCK, inner._BLOCK_TERMS // len(spec.zeros))
+    for size in (0, 1, 2, block - 1, block, block + 1, 3 * block + 7):
+        x = rng.uniform(-150.0, 150.0, size)
+        want_val, want_der = oracles.summed_phase_arrays(spec, x)
+        val, der = phase_arrays(spec, x)
+        assert _same_bits(val, want_val) and _same_bits(der, want_der)
+        assert _same_bits(inner._phase_values(spec, x), want_val)
+        assert _same_bits(phase_derivative(spec, x), want_der)
+    x = rng.uniform(-150.0, 150.0, (3, block // 2 + 5))
+    want_val, want_der = oracles.summed_phase_arrays(spec, x)
+    val, der = phase_arrays(spec, x)
+    assert _same_bits(val, want_val) and _same_bits(der, want_der)
+    for point in rng.uniform(-150.0, 150.0, 4).tolist():
+        want_val, want_der = oracles.summed_phase_arrays(spec, point)
+        val, der = phase_arrays(spec, point)
+        assert np.ndim(val) == np.ndim(der) == 0
+        assert _same_bits(val, want_val) and _same_bits(der, want_der)
+        assert _same_bits(phase_derivative(spec, point), want_der)
+
+
+def test_zero_free_phase_is_linear_with_constant_derivative():
+    spec = InnerFunctionSpec(tau=0.4, c=1.5)
+    x = np.array([[-2.0, 0.0], [0.5, 3.0]])
+    val, der = phase_arrays(spec, x)
+    assert _same_bits(val, 0.4 + 1.5 * x) and _same_bits(der, np.full_like(x, 1.5))
+    assert np.ndim(phase_derivative(spec, 2.0)) == 0 and phase_derivative(spec, 2.0) == 1.5
+
+
+def test_stored_zero_columns_leave_the_spec_value_alone():
+    import copy
+    import dataclasses
+    import pickle
+
+    zeros = (BlaschkeZero(-1.0, 0.5, 2), BlaschkeZero(3.0, 1.25))
+    spec = InnerFunctionSpec(tau=0.3, c=1.5, zeros=zeros)
+    twin = InnerFunctionSpec(tau=0.3, c=1.5, zeros=zeros)
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    assert [f.name for f in dataclasses.fields(spec)] == ["tau", "c", "zeros"]
+    assert dataclasses.asdict(spec) == dataclasses.asdict(twin)
+    x = np.linspace(-5.0, 5.0, 11)
+    for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec),
+                  dataclasses.replace(spec)):
+        assert other == spec and hash(other) == hash(spec)
+        assert all(not col.flags.writeable for col in other._columns)
+        assert _same_bits(phase_arrays(other, x), phase_arrays(spec, x))
+    moved = dataclasses.replace(spec, c=2.5)
+    assert moved != spec
+    assert _same_bits(phase_arrays(moved, x), oracles.summed_phase_arrays(moved, x))
+    with pytest.raises(ValueError):
+        spec._columns[0][0, 0] = 1.0
+    assert InnerFunctionSpec(c=1.0)._columns == ()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_theta_and_phase_derivative_bits_do_not_depend_on_the_batch(seed):
     # the harness panel table stores rows evaluated in one batch and hands

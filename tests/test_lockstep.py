@@ -157,7 +157,7 @@ def test_degenerate_first_candidate_draws_on_alone(spec_one, monkeypatch):
     # declare every first candidate degenerate: each member falls back to
     # random_model_function, which draws on from that member's stream
     monkeypatch.setattr(harness, "_certified_masses",
-                        lambda items: [(0.0, 0.0, 2000.0)] * len(items))
+                        lambda items, table=None: [(0.0, 0.0, 2000.0)] * len(items))
     real = harness.random_model_function
     fallbacks = []
 

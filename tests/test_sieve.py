@@ -74,6 +74,32 @@ def test_window_mass_pieces_and_vectorization():
     np.testing.assert_allclose(out, [0.0, 1.5, 0.75, 0.0])
 
 
+def test_window_mass_matches_the_per_term_sum():
+    # atoms on window edges, touching pieces and zero heights included; the
+    # mass of each window is the running sum over atoms, then pieces
+    rng = np.random.default_rng(41)
+    spots = rng.uniform(-50.0, 50.0, 40)
+    edges = np.sort(rng.uniform(-60.0, 60.0, 24))
+    pieces = tuple(DensityPiece(l, r, h) for l, r, h in
+                   zip(edges[::2], edges[1::2], rng.uniform(0.0, 3.0, 12)))
+    pieces += (DensityPiece(edges[-1], edges[-1] + 2.0, 0.0),)
+    mu = MeasureSpec(atoms=tuple(MassAtom(x, m) for x, m in
+                                 zip(spots, rng.uniform(0.1, 2.0, 40))), pieces=pieces)
+    for size in (1, 2, 7, 512, 1025):
+        start = rng.uniform(-70.0, 60.0, size)
+        on_atoms = np.arange(0, size, 5)[:spots.size]
+        start[on_atoms] = spots[:on_atoms.size]
+        length = rng.uniform(0.0, 10.0, size)
+        for args in ((start, length), (start, 2.5), (start[:, None], length[None, :4]),
+                     (float(start[0]), length)):
+            want = oracles.looped_window_mass(mu, *args)
+            got = mu.window_mass(*args)
+            assert np.shape(got) == np.shape(want) and np.array_equal(
+                np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+    point = mu.window_mass(float(spots[3]), 1.0)
+    assert np.ndim(point) == 0 and point == oracles.looped_window_mass(mu, float(spots[3]), 1.0)
+
+
 def test_measure_dict_round_trip():
     mu = MeasureSpec(atoms=(MassAtom(0.25, 1.0), MassAtom(-3.0, 0.5)),
                      pieces=(DensityPiece(1.0, 2.5, 0.75),))
