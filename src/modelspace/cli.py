@@ -9,11 +9,12 @@ how BLAS splits them over threads.
 
 Every CSV cell holds exactly the bytes of Python's % with its column's
 format.  %.17g cells of float64 columns holding a zero or a normal double
-below 1e17 in magnitude, and %d cells of integer columns, take their digits
+with 1e-11 <= |x| < 1e17, and %d cells of integer columns, take their digits
 from an exact integer kernel: the 17 significant digits are |x| * 10^(16 - e)
-rounded half to even, from the exact product of the mantissa and
-5^(16 - e).  Every other cell (nan, inf, subnormal, |x| >= 1e17, %s and
-other formats or dtypes) is formatted by Python itself.
+rounded half to even, from the exact 128-bit product of the mantissa and
+5^(16 - e).  Every other cell (nan, inf, subnormal, |x| < 1e-11 or
+|x| >= 1e17, a cell whose decimal exponent log10 puts one off, %s and other
+formats or dtypes) is formatted by Python itself.
 """
 from __future__ import annotations
 
@@ -49,25 +50,17 @@ _BLOCK = 4096
 # a byte no UTF-8 text holds: marks the bytes of a cell slot that are not written
 _GAP = 255
 _M32 = 0xFFFFFFFF
-# a normal double below 10^17 has decimal exponent -308 <= e <= 16 and is
-# scaled by 10^q, q = 16 - e <= _QMAX
-_QMAX = 324
-_EMIN = 16 - _QMAX
-
-
-# 5^q for q = 0.._QMAX in 32-bit limbs, least significant first, the number
-# of limbs each needs, and 5^0..5^27 (each below 2^63) as one uint64
-_POW5 = np.frombuffer(b"".join((5**q).to_bytes(96, "little") for q in range(_QMAX + 1)),
-                      "<u4").reshape(_QMAX + 1, 24).astype(np.uint64)
-_POW5_SIZE = np.array([-(-(5**q).bit_length() // 32) for q in range(_QMAX + 1)])
+# 5^0..5^27, each below 2^63; a kernel cell is scaled by 10^q, q = 16 - e <= 27,
+# so its decimal exponent e is at least _EMIN
 _POW5_64 = 5 ** np.arange(28, dtype=np.uint64)
+_EMIN = -11
 
 
 def _g17_layout():
     """The slots of %.17g cells keyed by (max(e, -5) + 5) * 17 + nd - 1 for
     decimal exponent e <= 16 and nd significant digits, and the exponent
     word of each e >= _EMIN.  A slot is the sign, "0.000", digit i at 6 + 2i
-    with a point after it at 7 + 2i, then at byte 40 the word "e-" and three
+    with a point after it at 7 + 2i, then at byte 40 the word "e-" and two
     exponent digits.  Shown digit bytes are 0, to be or-ed with the digit;
     every byte a cell does not show is _GAP."""
     e = np.repeat(np.arange(-5, 17), 17)  # -5 stands for every e < -4
@@ -85,18 +78,14 @@ def _g17_layout():
     word = np.full((len(exp), 8), _GAP, np.uint8)
     sci = exp > 4
     word[sci, :2] = np.frombuffer(b"e-", np.uint8)
-    word[sci & (exp >= 100), 2] = ord("0") + exp[sci & (exp >= 100)] // 100
-    word[sci, 3] = ord("0") + exp[sci] // 10 % 10
-    word[sci, 4] = ord("0") + exp[sci] % 10
+    word[sci, 2] = ord("0") + exp[sci] // 10
+    word[sci, 3] = ord("0") + exp[sci] % 10
     return slot, word.view(np.uint64).ravel()
 
 
 # the 48-byte slots, one item per key, and the exponent words, indexed by
-# e - _EMIN; and the narrow 32-byte slots for blocks with no |x| >= 10,
-# which have no point after digits 1..15, so digits 1..16 fill bytes 8..23
-# and the exponent word bytes 24..31
+# e - _EMIN
 _G17_SLOT, _G17_EXP = _g17_layout()
-_G17_NARROW = np.ascontiguousarray(_G17_SLOT[:, np.r_[0:8, 8:39:2, 40:48]]).view("V32").ravel()
 _G17_SLOT = _G17_SLOT.view("V48").ravel()
 # 10^1 .. 10^19: an integer of magnitude u has 1 + searchsorted(u) digits
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
@@ -140,40 +129,6 @@ def _scaled128(m, t, q):
     return floor, (shift > 0) & tie_or_more & above
 
 
-def _scaled(m, k, q):
-    """floor(m * 2^k * 10^q) and whether round-half-even rounds it up, for
-    uint64 m < 2^53, k and 0 <= q <= _QMAX with a floor below 2^60: exact, from
-    the product m * 5^q in 32-bit limbs shifted by k + q bits."""
-    n = len(m)
-    t = k + q
-    m = m << np.maximum(t, 0).astype(np.uint64)
-    shift = np.maximum(-t, 0).astype(np.uint64)
-    size = _POW5_SIZE[q.max()]
-    pow5 = _POW5[q, :size].T
-    low, high = (m & _M32) * pow5, (m >> 32) * pow5
-    # limbs of the product, two spare at the top for the shifted read below
-    acc = np.zeros((size + 4, n), np.uint64)
-    acc[:size] = low & _M32
-    acc[1:size + 1] += (low >> 32) + (high & _M32)
-    acc[2:size + 2] += high >> 32
-    for i in range(size + 1):
-        acc[i + 1] += acc[i] >> 32
-        acc[i] &= _M32
-    cols = np.arange(n)
-    word = (shift >> 5).astype(np.intp)
-    bit = shift & 31
-    floor = (acc[word, cols] >> bit) + ((acc[word + 1, cols] + (acc[word + 2, cols] << 32))
-                                        << (32 - bit))
-    # bit shift - 1 is the half; any bit below it, or an odd floor on a tie, rounds up
-    half = np.maximum(shift, 1) - 1
-    word = (half >> 5).astype(np.intp)
-    bit = half & 31
-    limb = acc[word, cols]
-    below = (limb & ((np.uint64(1) << bit) - 1)) != 0
-    below |= (word > 0) & np.logical_or.accumulate(acc != 0)[np.maximum(word - 1, 0), cols]
-    return floor, (shift > 0) & ((limb >> bit) & 1 == 1) & (below | (floor & 1 == 1))
-
-
 def _g17_digits(x):
     """(D, e, ok) of a float64 array under %.17g: D the 17 significant digits
     of |x| as an integer and e its decimal exponent (0 and 0 for a zero); ok
@@ -184,31 +139,15 @@ def _g17_digits(x):
     zero = bits << 1 == 0
     normal = (biased > 0) & (biased < 0x7FF)
     e = np.floor(np.log10(np.abs(np.where(normal, x, 1.0)))).astype(np.int64)
-    # most cells: 0 <= 16 - e <= 27 and a shift of at most 64 bits
+    # the kernel's cells: 0 <= 16 - e <= 27 and a shift of at most 64 bits; a
+    # floor outside [10^16, 10^17) means that log10 put e one off
     q = np.minimum(np.maximum(16 - e, 0), 27)
     t = biased - 1075 + q
     digits, up = _scaled128(mant, t, q)
     ok = normal & (q == 16 - e) & (t >= -64) & (digits >= 10**16) & (digits < 10**17)
-    todo = np.flatnonzero(normal & ~ok)
     digits += up
     ok |= zero
     digits[zero] = 0
-    # the rest, and any e that log10 put one off near a power of ten, by the
-    # limb product; the floor shows which way e was off
-    for _ in range(3):
-        q = 16 - e[todo]
-        inside = (q >= 0) & (q <= _QMAX)
-        todo, q = todo[inside], q[inside]
-        if not len(todo):
-            break
-        floor, up = _scaled(mant[todo], biased[todo] - 1075, q)
-        low, high = floor < 10**16, floor >= 10**17
-        digits[todo] = floor + up
-        e[todo[high]] += 1
-        e[todo[low]] -= 1
-        fine = ~(low | high)
-        ok[todo[fine]] = True
-        todo = todo[~fine]
     # a floor of 10^17 - 1 that rounds up is 10^16 at the next exponent
     carry = digits == 10**17
     digits[carry] = 10**16
@@ -217,8 +156,8 @@ def _g17_digits(x):
 
 
 def _fill_g17(slot, x):
-    """Lay out the %.17g cells of float64 x in the (n, 48) slot, or the (n, 32)
-    narrow slot; returns the rows left to Python."""
+    """Lay out the %.17g cells of float64 x in the (n, 48) slot; returns the
+    rows left to Python."""
     digits, e, ok = _g17_digits(x)
     # digit 0, then digits 1..16 in four groups
     groups = _groups(digits, 5)
@@ -232,15 +171,11 @@ def _fill_g17(slot, x):
         trailing[rows] += _TRAILING4[groups[i][rows]]
     e = np.where(ok, e, 0)  # the rows left to Python take any valid slot
     key = (np.maximum(e, -5) + 5) * 17 + np.maximum(16 - trailing, 0)
-    if slot.shape[1] == 48:
-        cells = _G17_SLOT[key].view(np.uint8).reshape(-1, 48)
-        words, table, first = cells.view(np.uint64), _SPREAD4, 1
-    else:
-        cells = _G17_NARROW[key].view(np.uint8).reshape(-1, 32)
-        words, table, first = cells.view(np.uint32), _DIGITS4, 2
-    cells.view(np.uint64)[:, -1] = _G17_EXP[e - _EMIN]
+    cells = _G17_SLOT[key].view(np.uint8).reshape(-1, 48)
+    words = cells.view(np.uint64)
+    words[:, -1] = _G17_EXP[e - _EMIN]
     for i in range(1, 5):
-        words[:, first + i - 1] |= table[groups[i]]
+        words[:, i] |= _SPREAD4[groups[i]]
     cells[:, 6] |= (ord("0") + groups[0]).astype(np.uint8)
     cells[:, 0] = np.where(np.signbit(x), ord("-"), _GAP)
     slot[:] = cells
@@ -281,8 +216,7 @@ def _layout(formats, cols) -> bytes:
     plan = []  # (kernel fill and its column, or None and Python's texts; slot width)
     for fmt, col in zip(formats, cols):
         if fmt == "%.17g" and col.dtype == np.float64:
-            # below 10 no cell has a point after its second digit
-            plan.append((_fill_g17, col, 32 if np.abs(col).max() < 10.0 else 48))
+            plan.append((_fill_g17, col, 48))
         elif fmt == "%d" and np.can_cast(col.dtype, np.int64) and col.dtype != bool:
             col = col.astype(np.int64)
             plan.append((_fill_int, col, 1 + len(str(max(int(col.max()), -int(col.min()))))))

@@ -454,7 +454,9 @@ def _with_tail(res, profile: DecayProfile, spec: InnerFunctionSpec, p: float, ra
     plus both tails as gbar * integral of |x|^-m over |x| > radius, gbar the
     periodic mean of g(theta) = (|A - B e^{i theta}| / 2pi)^p.  The
     uncertainty adds the quadrature error estimate and the tail bound of
-    _tail_uncertainty; LpNormError when the samples or that bound overflow."""
+    _tail_uncertainty; LpNormError when the samples or that bound overflow,
+    or when the mass is below the smallest normal double: then |f|^p has
+    underflowed, and no relative budget bounds what was lost."""
     m = p * profile.order
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -464,7 +466,10 @@ def _with_tail(res, profile: DecayProfile, spec: InnerFunctionSpec, p: float, ra
             unc = res.error_bound + _tail_uncertainty(g, profile, spec, p, radius)
     except (OverflowError, FloatingPointError):
         raise LpNormError(f"tail bound at p = {p:g} overflows at radius {radius:.0f}") from None
-    return float(np.real(res.value)) + tail, unc
+    mass = float(np.real(res.value)) + tail
+    if mass < np.finfo(float).tiny:
+        raise LpNormError(f"mass {mass:.3e} at p = {p:g} underflows at radius {radius:.0f}")
+    return mass, unc
 
 
 def _certified_at(mass: float, unc: float, radius: float, quad_err: float) -> bool:
@@ -495,8 +500,9 @@ def _p_mass(values_fn, profile: DecayProfile, spec: InnerFunctionSpec, p: float,
 
 _RADII = (2000.0, 8000.0, 32000.0)
 
-# Absolute floor and relative tolerance of the interior quadrature.
-_INTERIOR_TOL = (1e-13, 1e-10)
+# Absolute floor and relative tolerance of the interior quadrature; the floor
+# binds only for masses below 1e-290, so the tolerance is in effect relative.
+_INTERIOR_TOL = (1e-300, 1e-10)
 
 
 def _certified_mass(values_fn, profile, spec, p, radii=_RADII):

@@ -864,6 +864,31 @@ def test_report_cells_match_python_format_in_bulk():
                           python_rows(formats, ints, doubles, small)) == ([], 0)
 
 
+def test_report_cells_stay_on_the_digit_kernel(tmp_path, monkeypatch):
+    # the byte tests above pass whichever path formats a cell, so count the
+    # cells handed to Python's %: none of a 60001-row node table (the
+    # sampling benchmark's, at seed 1) or of a column inside the kernel's
+    # range 1e-11 <= |x| < 1e17 away from powers of ten, where log10 can put
+    # the decimal exponent one off; every cell of a column below 1e-11
+    handed = []
+    real = cli._texts
+    monkeypatch.setattr(cli, "_texts", lambda fmt, values: handed.append(len(values))
+                        or real(fmt, values))
+    assert run_cli(tmp_path, {"command": "nodes", "inner": {"c": 1.0, "zeros": [
+        {"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 0.5}]},
+        "params": {"gamma": 0.844235, "n_min": -30000, "n_max": 30000}}) == 0
+    assert sum(handed) == 0
+    rng = np.random.default_rng(3)
+    exponents = rng.uniform(-11.0, 17.0, 2**14)
+    exponents = exponents[np.abs(exponents - np.round(exponents)) > 1e-12]
+    inside = np.where(rng.random(len(exponents)) < 0.5, -1.0, 1.0) * 10.0 ** exponents
+    below = np.append(10.0 ** rng.uniform(-307.0, -11.5, 999), 1e-11 * 0.99999999)
+    for cells, count in ((inside, 0), (below, len(below))):
+        handed.clear()
+        assert written_rows(("%.17g",), cells) == python_rows(("%.17g",), cells)
+        assert sum(handed) == count
+
+
 COMMAND_RUNS = [
     {"command": "nodes", "inner": {"c": 2.0}, "params": {"n_min": -2, "n_max": 2}},
     {"command": "reconstruct", "inner": {"c": 2.0},

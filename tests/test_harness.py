@@ -339,9 +339,11 @@ def test_norm_names_an_overflowing_tail_bound(spec_one):
 
 
 def test_last_radius_error_names_quadrature_and_tail(spec_one, monkeypatch):
-    # at p = 64 the mass is about 3e-14; the quadrature meets its absolute
-    # floor with an error estimate above 1e-6 of that, which no larger radius
-    # mends, so the norm fails after one interior pass at the first radius
+    # at p = 64 the mass is about 3e-14; under an absolute interior floor of
+    # 1e-13 the quadrature stops with an error estimate above 1e-6 of that,
+    # which no larger radius mends, so the norm fails after one interior
+    # pass at the first radius
+    monkeypatch.setattr(harness, "_INTERIOR_TOL", (1e-13, 1e-10))
     f = random_model_function(spec_one, 5, 2)
     passes = []
     real = quadrature.integrate_panels
@@ -352,6 +354,36 @@ def test_last_radius_error_names_quadrature_and_tail(spec_one, monkeypatch):
     assert str(exc.value) == (
         "quadrature error 2.444e-17 exceeds the budget 1e-06 * mass 2.814e-14 at radius 2000")
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("p", [64.0, 100.0])
+def test_large_p_norms_certify_under_the_sup_bound(spec_one, p):
+    # the interior tolerance is relative, so masses of about 3e-14 (p = 64)
+    # and 1e-21 (p = 100) certify, and obey ||f||_p^p <= S^(p-2) ||f||_2^2
+    # for an upper bound S on |f|: a scan of step h over [-50, 50] plus h
+    # times a bound on |f'| (from |q| <= 1 and |Theta'| <= c + sum 2m/v),
+    # and beyond it the bound |k_a(x)| <= 1/(pi |x - Re a|)
+    f = random_model_function(spec_one, 5, 2)
+    weights, v = np.abs(f.coefficients) / TWO_PI, f.anchors.imag
+    dphi = spec_one.c + sum(2.0 * z.mult / z.im for z in spec_one.zeros)
+    h, wide = 1e-3, 50.0
+    scan = float(np.abs(f(np.arange(-wide, wide + h, h))).max())
+    beyond = float(np.sum(2.0 * weights / (wide - np.abs(f.anchors.real))))
+    sup = max(scan + h * float(np.sum(weights * (dphi / v + 2.0 / v**2))), beyond)
+    assert lp_norm(f, p) ** p <= sup ** (p - 2.0) * lp_norm(f, 2.0) ** 2
+
+
+def test_an_underflowing_mass_fails_alone_and_in_lockstep(spec_one):
+    # at p = 120, |g|^p and the tail mean of g = f / 1000 flush to 0; the
+    # mass 0 with uncertainty 0 would certify a norm of 0 for g, whose norm
+    # is about 6e-4, so the lone norms and the lockstep checks refuse it
+    f = random_model_function(spec_one, 5, 2)
+    g = KernelCombination(spec=spec_one, anchors=f.anchors, coefficients=1e-3 * f.coefficients)
+    for check in (lp_norm, derivative_lp_norm, bernstein_check,
+                  lambda g, p: sup_sample_check(g, 1.0, p)):
+        with pytest.raises(LpNormError) as exc:
+            check(g, 120.0)
+        assert str(exc.value) == "mass 0.000e+00 at p = 120 underflows at radius 2000"
 
 
 def test_tail_above_the_budget_at_every_radius_fails_at_the_last(spec_one, monkeypatch):
